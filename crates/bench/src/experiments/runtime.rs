@@ -18,13 +18,22 @@
 //! Predictions are bit-identical on every row (see
 //! `vortex_nn::executor` and `vortex_runtime::kernels`); only wall-clock
 //! changes.
+//!
+//! The same chip is also frozen at [`Fidelity::Exact`] and metered
+//! serially: its read goes through the nodal mesh's compiled transfer
+//! matrices. The experiment also times one transfer-matrix rebuild — the
+//! cost every conductance change (`with_conductance_factors`, `aged`,
+//! `with_cell_faults`) pays on an Exact model.
+//!
+//! [`Fidelity::Exact`]: vortex_runtime::Fidelity::Exact
 
 use std::time::Instant;
 
 use vortex_core::amp::greedy::RowMapping;
-use vortex_core::pipeline::HardwareEnv;
+use vortex_core::pipeline::{HardwareEnv, ReadFidelity};
 use vortex_core::report::{fixed, json_string, Table};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
+use vortex_linalg::Matrix;
 use vortex_nn::executor::{run_trials_unpooled, Parallelism};
 use vortex_runtime::CompiledModel;
 
@@ -49,6 +58,12 @@ pub struct RuntimeResult {
     pub spawn_sps: f64,
     /// Pooled parallel throughput, samples/sec.
     pub parallel_sps: f64,
+    /// Serial throughput of the same chip frozen at Exact fidelity,
+    /// samples/sec.
+    pub exact_sps: f64,
+    /// Median time to rebuild the Exact model's transfer matrices after
+    /// a conductance change, milliseconds.
+    pub exact_transfer_build_ms: f64,
     /// Size of the serialized model artifact, bytes.
     pub artifact_bytes: usize,
     /// Test-set accuracy of the compiled model (identical on all paths).
@@ -103,6 +118,11 @@ impl RuntimeResult {
             self.threads.to_string(),
             fixed(self.parallel_sps, 0),
         ]);
+        t.add_row([
+            "exact (transfer matrix)".to_string(),
+            "1".to_string(),
+            fixed(self.exact_sps, 0),
+        ]);
         vec![t]
     }
 
@@ -110,9 +130,10 @@ impl RuntimeResult {
     pub fn render(&self) -> String {
         let mut out = super::common::render_tables(&self.tables());
         out.push_str(&format!(
-            "speedup {:.2}x, kernel gain {:.2}x, artifact {} bytes, accuracy {:.1}%\n",
+            "speedup {:.2}x, kernel gain {:.2}x, exact transfer rebuild {:.1} ms, artifact {} bytes, accuracy {:.1}%\n",
             self.speedup(),
             self.kernel_gain(),
+            self.exact_transfer_build_ms,
             self.artifact_bytes,
             100.0 * self.accuracy
         ));
@@ -129,6 +150,8 @@ impl RuntimeResult {
                 "\"serial_samples_per_sec\":{:.3},",
                 "\"spawn_samples_per_sec\":{:.3},",
                 "\"parallel_samples_per_sec\":{:.3},",
+                "\"exact_samples_per_sec\":{:.3},",
+                "\"exact_transfer_build_ms\":{:.3},",
                 "\"speedup\":{:.4},\"kernel_gain\":{:.4},",
                 "\"artifact_bytes\":{},\"accuracy\":{:.6},",
                 "\"tables\":{}}}"
@@ -141,6 +164,8 @@ impl RuntimeResult {
             self.serial_sps,
             self.spawn_sps,
             self.parallel_sps,
+            self.exact_sps,
+            self.exact_transfer_build_ms,
             self.speedup(),
             self.kernel_gain(),
             self.artifact_bytes,
@@ -203,7 +228,28 @@ fn meter_unpooled(model: &CompiledModel, samples: &[&[f64]], threads: usize) -> 
     scored as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Runs the experiment: compile once, meter all four paths.
+/// Median wall time, in milliseconds, of rebuilding `model`'s derived
+/// read state from unchanged conductances — for an Exact model, the
+/// transfer matrices every conductance change recomputes.
+fn time_rebuild_ms(model: &CompiledModel) -> f64 {
+    let unit = Matrix::filled(model.rows(), model.classes(), 1.0);
+    let mut times: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(
+                model
+                    .with_conductance_factors(&unit, &unit)
+                    .expect("unit factors are valid"),
+            );
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Runs the experiment: compile once, meter all four paths, then meter
+/// the same chip frozen at Exact fidelity.
 ///
 /// # Panics
 ///
@@ -215,13 +261,20 @@ pub fn run(scale: &Scale) -> RuntimeResult {
     let env = HardwareEnv::with_sigma(0.4)
         .expect("valid sigma")
         .with_ir_drop(5.0);
-    let mut rng = scale.rng(42);
+    let mapping = RowMapping::identity(weights.rows());
     let model = env
         .compiler()
         .with_calibration(&test.mean_input())
-        .compile(&weights, &RowMapping::identity(weights.rows()), &mut rng)
+        .compile(&weights, &mapping, &mut scale.rng(42))
         .expect("model compiles");
     let reference = model.clone().with_reference_kernel();
+    // The same generator seed fabricates and programs the same chip.
+    let mut exact_env = env;
+    exact_env.read_fidelity = ReadFidelity::ExactIrDrop;
+    let exact = exact_env
+        .compiler()
+        .compile(&weights, &mapping, &mut scale.rng(42))
+        .expect("exact model compiles");
 
     let samples: Vec<&[f64]> = (0..test.len()).map(|i| test.image(i)).collect();
     let threads = 8;
@@ -229,6 +282,7 @@ pub fn run(scale: &Scale) -> RuntimeResult {
     let serial_sps = meter(&model, &samples, Parallelism::Serial);
     let spawn_sps = meter_unpooled(&model, &samples, threads);
     let parallel_sps = meter(&model, &samples, Parallelism::Fixed(threads));
+    let exact_sps = meter(&exact, &samples, Parallelism::Serial);
     RuntimeResult {
         rows: model.rows(),
         cols: model.classes(),
@@ -238,6 +292,8 @@ pub fn run(scale: &Scale) -> RuntimeResult {
         serial_sps,
         spawn_sps,
         parallel_sps,
+        exact_sps,
+        exact_transfer_build_ms: time_rebuild_ms(&exact),
         artifact_bytes: model.to_bytes().len(),
         accuracy: model.accuracy(&test).expect("scoring"),
     }
@@ -252,6 +308,7 @@ mod tests {
         let r = run(&Scale::bench());
         assert!(r.reference_sps > 0.0 && r.serial_sps > 0.0);
         assert!(r.spawn_sps > 0.0 && r.parallel_sps > 0.0);
+        assert!(r.exact_sps > 0.0 && r.exact_transfer_build_ms > 0.0);
         assert!(r.samples > 0 && r.rows > 0 && r.cols == 10);
         assert!(r.artifact_bytes > 0);
         assert!((0.0..=1.0).contains(&r.accuracy));
@@ -275,6 +332,7 @@ mod tests {
         assert!(s.contains("speedup"));
         assert!(s.contains("reference (f64)"));
         assert!(s.contains("spawn-per-batch"));
+        assert!(s.contains("exact (transfer matrix)"));
         let j = r.to_json();
         for key in [
             "rows",
@@ -285,6 +343,8 @@ mod tests {
             "serial_samples_per_sec",
             "spawn_samples_per_sec",
             "parallel_samples_per_sec",
+            "exact_samples_per_sec",
+            "exact_transfer_build_ms",
             "speedup",
             "kernel_gain",
             "artifact_bytes",

@@ -21,7 +21,7 @@
 //! pays even where threads cannot.
 //!
 //! The degradation scenario bursts more traffic than an `Exact`-fidelity
-//! (per-sample IR-drop solve) primary can queue: admissions above the
+//! primary can queue: admissions above the
 //! high-water mark are downgraded to the `Calibrated` fallback, overflow
 //! is rejected, and the run asserts the ladder releases after the drain.
 

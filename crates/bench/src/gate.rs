@@ -25,15 +25,18 @@
 /// that floor noise-free). Baselines opt keys in: `bench/baseline.json`
 /// gates the runtime experiment's reference/serial/parallel trio (the
 /// f64 reference kernel, the certified-f32 serial fast path, and the
-/// pooled parallel batch), `bench/baseline_serve.json` gates the serve
+/// pooled parallel batch) plus its serial Exact-fidelity read (which
+/// collapses if Exact stops reading through its compiled transfer
+/// matrices), `bench/baseline_serve.json` gates the serve
 /// experiment's serial/pooled pair, `bench/baseline_fleet.json` gates
 /// the fleet experiment's five-replica drain, and
 /// `bench/baseline_lifetime.json` floors the virtual throughput the
 /// deployed recalibration policy sustains around its blackout windows.
-pub const GATED_KEYS: [&str; 6] = [
+pub const GATED_KEYS: [&str; 7] = [
     "reference_samples_per_sec",
     "serial_samples_per_sec",
     "parallel_samples_per_sec",
+    "exact_samples_per_sec",
     "pooled_samples_per_sec",
     "fleet_goodput_samples_per_sec",
     "lifetime_served_per_virtual_sec",

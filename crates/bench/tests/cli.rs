@@ -107,13 +107,15 @@ fn runtime_payload_passes_the_checked_in_throughput_gate() {
     assert!(stdout.contains("wrote BENCH_runtime.json"));
 
     // The payload must carry every gated key (reference kernel, serial
-    // fast path, pooled parallel) with sane values…
+    // fast path, pooled parallel, Exact read) with sane values…
     let json = std::fs::read_to_string(dir.join("BENCH_runtime.json")).expect("payload written");
     for key in [
         "reference_samples_per_sec",
         "serial_samples_per_sec",
         "spawn_samples_per_sec",
         "parallel_samples_per_sec",
+        "exact_samples_per_sec",
+        "exact_transfer_build_ms",
     ] {
         let v = vortex_bench::gate::extract_number(&json, key)
             .unwrap_or_else(|| panic!("{key} missing from payload"));
@@ -127,7 +129,7 @@ fn runtime_payload_passes_the_checked_in_throughput_gate() {
     )
     .expect("baseline readable");
     let report = vortex_bench::gate::check(&json, &baseline, 0.30).expect("gateable payload");
-    assert_eq!(report.checks.len(), 3, "baseline gates three runtime keys");
+    assert_eq!(report.checks.len(), 4, "baseline gates four runtime keys");
     assert!(
         report.pass(),
         "runtime payload failed its own gate:\n{}",

@@ -42,7 +42,8 @@ pub enum ReadFidelity {
     Ideal,
     /// Rank-1 calibrated attenuation (one mesh solve per fabrication).
     FastIrDrop,
-    /// Full nodal solve per sample (small arrays only).
+    /// Exact nodal IR drop, compiled into one transfer matrix per
+    /// crossbar (`cols` mesh solves per fabrication).
     ExactIrDrop,
 }
 

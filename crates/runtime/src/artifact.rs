@@ -356,6 +356,11 @@ impl<'a> Cursor<'a> {
     pub(crate) fn is_empty(&self) -> bool {
         self.pos == self.bytes.len()
     }
+
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
 }
 
 pub(crate) fn get_matrix(
@@ -364,15 +369,16 @@ pub(crate) fn get_matrix(
 ) -> std::result::Result<Matrix, ArtifactError> {
     let rows = c.u64_usize(context)?;
     let cols = c.u64_usize(context)?;
+    // Size the announced contents against the payload *before* any
+    // allocation, as the canary decoder does: the matrix must consume
+    // exactly the remaining bytes.
     let count = rows
         .checked_mul(cols)
+        .filter(|n| n.checked_mul(8) == Some(c.remaining()))
         .ok_or(ArtifactError::Malformed { context })?;
     let mut data = Vec::with_capacity(count);
     for _ in 0..count {
         data.push(c.f64(context)?);
-    }
-    if !c.is_empty() {
-        return Err(ArtifactError::Malformed { context });
     }
     Matrix::from_vec(rows, cols, data).map_err(|_| ArtifactError::Malformed { context })
 }
@@ -517,14 +523,15 @@ fn decode_rout(payload: &[u8]) -> std::result::Result<(usize, Vec<usize>), Artif
     let mut c = Cursor::new(payload);
     let physical_rows = c.u64_usize("ROUT physical rows")?;
     let logical_rows = c.u64_usize("ROUT logical rows")?;
+    // Size the announced routing against the payload before allocating.
+    if logical_rows.checked_mul(8) != Some(c.remaining()) {
+        return Err(ArtifactError::Malformed {
+            context: "ROUT announced size",
+        });
+    }
     let mut assignment = Vec::with_capacity(logical_rows);
     for _ in 0..logical_rows {
         assignment.push(c.u64_usize("ROUT assignment")?);
-    }
-    if !c.is_empty() {
-        return Err(ArtifactError::Malformed {
-            context: "ROUT trailing bytes",
-        });
     }
     Ok((physical_rows, assignment))
 }

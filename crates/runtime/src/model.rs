@@ -9,13 +9,15 @@
 //! * the differential scale `s` with `w = (i⁺ − i⁻)/s`,
 //! * the calibrated per-cell attenuation folded into *effective*
 //!   conductance matrices (`g∘a`, computed once instead of per sample),
+//!   or, for [`Fidelity::Exact`], the nodal mesh compiled into transfer
+//!   matrices in the same slot,
 //! * converter resolutions (ADC on the columns, DAC on the rows),
 //! * the row routing.
 //!
 //! Inference is then a pure function of the input: no fabrication state,
-//! no solver except in [`Fidelity::Exact`] mode, and no per-sample
-//! conductance-matrix rebuilds. The per-sample arithmetic is kept
-//! bit-identical to the live read of
+//! no solver, and no per-sample conductance-matrix rebuilds — every
+//! fidelity reads through one matrix-vector product per crossbar. The
+//! per-sample arithmetic is kept bit-identical to the live read of
 //! [`vortex_xbar::pair::DifferentialPair::read`] — same values, same
 //! floating-point operation order — so a compiled model reproduces the
 //! training-side evaluation numbers exactly.
@@ -47,7 +49,10 @@ pub enum Fidelity {
     /// Calibrated IR-drop: per-cell attenuation from one exact mesh solve
     /// at compile time, folded into effective conductances.
     Calibrated,
-    /// Full nodal solve per sample (small arrays only).
+    /// Exact IR drop: the nodal mesh of each crossbar compiled into its
+    /// transfer matrix at compile time (`cols` mesh solves per crossbar,
+    /// rebuilt whenever the conductances change); a read is then one
+    /// matrix-vector product per crossbar, like [`Fidelity::Calibrated`].
     Exact,
 }
 
@@ -222,10 +227,9 @@ pub struct CompiledModel {
     // --- derived state, rebuilt on load ---
     eff_pos: Matrix,
     eff_neg: Matrix,
-    exact: Option<NodalAnalysis>,
-    /// The certified f32 label fast path; `None` for fidelities/periphery
-    /// where the tolerance proof does not hold (exact solve, quantized
-    /// sensing) or when disabled via [`Self::with_reference_kernel`].
+    /// The certified f32 label fast path; `None` where the tolerance
+    /// proof does not hold (quantized sensing) or when disabled via
+    /// [`Self::with_reference_kernel`].
     fast: Option<FastGemv>,
 }
 
@@ -236,12 +240,15 @@ impl CompiledModel {
     /// (unassigned physical rows receive zero drive). For
     /// [`Fidelity::Calibrated`], `calibration` must hold a logical-space
     /// reference input (typically the mean test input); the one exact mesh
-    /// solve per crossbar happens here, never at inference time.
+    /// solve per crossbar happens here, never at inference time. For
+    /// [`Fidelity::Exact`] the per-crossbar transfer matrices are built
+    /// here (and rebuilt by every derived copy and on artifact load).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidParameter`] for inconsistent shapes
-    /// or routing, and propagates calibration solver errors.
+    /// or routing, and propagates calibration and transfer-matrix solver
+    /// errors.
     pub fn compile(
         state: &FrozenPairState,
         assignment: &[usize],
@@ -396,33 +403,29 @@ impl CompiledModel {
                 }
             }
         }
-        // Derived read state: effective conductances (the per-sample
-        // hadamard of the live read, done once), and the solver for the
-        // exact path.
+        // Derived read state: the matrices every read multiplies by —
+        // the conductances, the calibrated `g∘a` (the per-sample hadamard
+        // of the live read, done once), or the exact transfer matrices.
         let (eff_pos, eff_neg) = match fidelity {
+            Fidelity::Ideal => (g_pos.clone(), g_neg.clone()),
             Fidelity::Calibrated => {
                 let ap = att_pos.as_ref().expect("validated above");
                 let an = att_neg.as_ref().expect("validated above");
                 (g_pos.hadamard(ap), g_neg.hadamard(an))
             }
-            Fidelity::Ideal | Fidelity::Exact => (g_pos.clone(), g_neg.clone()),
-        };
-        let exact = match fidelity {
-            Fidelity::Exact => Some(NodalAnalysis::new(g_pos.rows(), g_pos.cols(), r_wire)?),
-            _ => None,
+            Fidelity::Exact => {
+                let na = NodalAnalysis::new(g_pos.rows(), g_pos.cols(), r_wire)?;
+                (na.transfer_matrix(&g_pos)?, na.transfer_matrix(&g_neg)?)
+            }
         };
         // The certified f32 label path exists only where its tolerance
-        // proof holds: a linear read (no per-sample nodal solve) with
-        // ideal sensing. A DAC is fine — it quantizes the *input* in f64
-        // before either kernel sees it. ADC quantization happens *after*
-        // the product, where an f32 score could land in a different bin,
-        // so those models stay on the reference.
-        let fast = match fidelity {
-            Fidelity::Ideal | Fidelity::Calibrated if adc.is_none() => {
-                Some(FastGemv::from_effective(&eff_pos, &eff_neg, scale))
-            }
-            _ => None,
-        };
+        // proof holds: ideal sensing. A DAC is fine — it quantizes the
+        // *input* in f64 before either kernel sees it. ADC quantization
+        // happens *after* the product, where an f32 score could land in a
+        // different bin, so those models stay on the reference.
+        let fast = adc
+            .is_none()
+            .then(|| FastGemv::from_effective(&eff_pos, &eff_neg, scale));
         if let Some(c) = &canary {
             if c.inputs[0].len() != assignment.len() {
                 return Err(RuntimeError::InvalidParameter {
@@ -453,7 +456,6 @@ impl CompiledModel {
             encoding,
             eff_pos,
             eff_neg,
-            exact,
             fast,
         })
     }
@@ -590,7 +592,8 @@ impl CompiledModel {
     /// excursion can *raise* its conductance (factor > 1), which is why
     /// lifetime simulation needs this wider-domain sibling. Calibration
     /// maps and the canary set carry over unchanged, as in
-    /// [`Self::aged`].
+    /// [`Self::aged`]. An Exact model rebuilds its transfer matrices from
+    /// the new conductances (`cols` mesh solves per crossbar).
     ///
     /// # Errors
     ///
@@ -655,7 +658,8 @@ impl CompiledModel {
 
     /// A copy with stuck-at device faults applied: each fault pins one
     /// device of one crossbar to a fixed conductance. Calibration maps
-    /// and the canary set carry over, as in [`Self::aged`].
+    /// and the canary set carry over, as in [`Self::aged`]; an Exact
+    /// model rebuilds its transfer matrices.
     ///
     /// # Errors
     ///
@@ -748,18 +752,8 @@ impl CompiledModel {
                 *v = dac.convert(*v);
             }
         }
-        match &self.exact {
-            None => {
-                gemv_ref(&self.eff_pos, &s.routed, &mut s.i_pos);
-                gemv_ref(&self.eff_neg, &s.routed, &mut s.i_neg);
-            }
-            Some(na) => {
-                let ip = na.compute(&self.g_pos, &s.routed)?.column_currents;
-                let in_ = na.compute(&self.g_neg, &s.routed)?.column_currents;
-                s.i_pos.copy_from_slice(&ip);
-                s.i_neg.copy_from_slice(&in_);
-            }
-        }
+        gemv_ref(&self.eff_pos, &s.routed, &mut s.i_pos);
+        gemv_ref(&self.eff_neg, &s.routed, &mut s.i_neg);
         if let Some(adc) = &self.adc {
             for v in &mut s.i_pos {
                 *v = adc.quantize(*v);
@@ -778,8 +772,7 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidParameter`] for a wrong input length
-    /// and propagates exact-solver errors.
+    /// Returns [`RuntimeError::InvalidParameter`] for a wrong input length.
     pub fn scores(&self, x: &[f64]) -> Result<Vec<f64>> {
         let mut s = self.scratch();
         self.score_into(x, &mut s)?;

@@ -335,6 +335,30 @@ fn corrupt_enct_row_count_is_a_typed_error() {
 }
 
 #[test]
+fn inflated_matrix_and_routing_counts_are_typed_errors() {
+    // A CRC-valid artifact whose GPOS row count or ROUT logical-row count
+    // announces far more entries than the payload carries must fail typed
+    // before the decoder sizes an allocation from it.
+    let model = compiled(6, 3, 3.0, Fidelity::Exact, 5);
+    for (tag, field) in [(b"GPOS", 0), (b"ROUT", 8)] {
+        for announced in [1u64 << 40, u64::MAX / 8, u64::MAX] {
+            let mut bytes = model.to_bytes();
+            let tag_at = bytes
+                .windows(4)
+                .position(|w| w == tag)
+                .expect("section present");
+            let at = tag_at + SECTION_HEADER + field;
+            bytes[at..at + 8].copy_from_slice(&announced.to_le_bytes());
+            reseal_crc(&mut bytes);
+            match artifact_err(CompiledModel::from_bytes(&bytes)) {
+                ArtifactError::Malformed { .. } => {}
+                other => panic!("expected Malformed for {tag:?}, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn wrong_magic_yields_bad_magic() {
     let mut bytes = compiled(6, 3, 0.0, Fidelity::Ideal, 5).to_bytes();
     bytes[0] = b'X';

@@ -130,12 +130,15 @@ proptest! {
 
     /// End to end on a compiled model: the fast-path `infer` and the
     /// forced-reference `infer` agree label for label, and the batched
-    /// read agrees at every batch shape and worker count.
+    /// read agrees at every batch shape and worker count — for the
+    /// calibrated read and for the exact read's transfer matrices.
     #[test]
     fn compiled_model_labels_are_kernel_invariant(rows in 2usize..24,
+                                                  exact in 0u8..2,
                                                   seed in proptest::num::u64::ANY) {
-        let fast = compiled(rows, Fidelity::Calibrated, false, seed);
-        prop_assert!(fast.fast_path_enabled(), "ADC-free calibrated model must take the fast path");
+        let fidelity = if exact == 1 { Fidelity::Exact } else { Fidelity::Calibrated };
+        let fast = compiled(rows, fidelity, false, seed);
+        prop_assert!(fast.fast_path_enabled(), "ADC-free {fidelity:?} model must take the fast path");
         let reference = fast.clone().with_reference_kernel();
         prop_assert!(!reference.fast_path_enabled());
 
@@ -164,15 +167,16 @@ proptest! {
 
 #[test]
 fn fast_path_gating_follows_fidelity_and_adc() {
-    // ADC-free ideal/calibrated reads may use the fast path; an ADC
+    // ADC-free reads of every fidelity may use the fast path (Exact
+    // compiles its nodal mesh into static transfer matrices); an ADC
     // quantizes *after* the analog product, so its presence forces the
-    // reference; Exact re-solves nodal physics per sample and never
-    // compiles a static matrix the fast path could certify against.
+    // reference.
     assert!(compiled(9, Fidelity::Ideal, false, 7).fast_path_enabled());
     assert!(compiled(9, Fidelity::Calibrated, false, 7).fast_path_enabled());
+    assert!(compiled(9, Fidelity::Exact, false, 7).fast_path_enabled());
     assert!(!compiled(9, Fidelity::Ideal, true, 7).fast_path_enabled());
     assert!(!compiled(9, Fidelity::Calibrated, true, 7).fast_path_enabled());
-    assert!(!compiled(9, Fidelity::Exact, false, 7).fast_path_enabled());
+    assert!(!compiled(9, Fidelity::Exact, true, 7).fast_path_enabled());
     assert!(!compiled(9, Fidelity::Calibrated, false, 7)
         .with_reference_kernel()
         .fast_path_enabled());

@@ -1,12 +1,12 @@
 //! The fidelity degradation ladder: watermark hysteresis over queue depth.
 //!
-//! Under sustained overload an `Exact`-fidelity read path (one IR-drop
-//! nodal solve per sample) cannot keep up with admission. Rather than
-//! letting the queue grow until every request times out, the scheduler
-//! *degrades*: once queue depth reaches the **high-water mark**, newly
-//! admitted requests are served by the calibrated fallback model — the
-//! paper's close-loop degradation analysis in reverse, trading per-sample
-//! solver fidelity for sustained throughput. The scheduler recovers
+//! Under sustained overload the primary read path cannot keep up with
+//! admission. Rather than letting the queue grow until every request
+//! times out, the scheduler *degrades*: once queue depth reaches the
+//! **high-water mark**, newly admitted requests are served by the
+//! fallback model (typically `Calibrated` behind an `Exact` primary) —
+//! the paper's close-loop degradation analysis in reverse, trading read
+//! fidelity for sustained throughput. The scheduler recovers
 //! automatically once depth falls back to the **low-water mark**.
 //!
 //! Two marks instead of one give the ladder hysteresis: between the low

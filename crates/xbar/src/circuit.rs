@@ -19,9 +19,15 @@
 //! The resulting system is a symmetric positive definite conductance
 //! Laplacian with Dirichlet boundary segments; it is solved with
 //! Jacobi-preconditioned conjugate gradient.
+//!
+//! For frozen conductances the compute-mode read is linear in the row
+//! voltages, so [`NodalAnalysis::transfer_matrix`] compiles it once into
+//! a `rows × cols` matrix (one adjoint solve per column). Serving reads go
+//! through that matrix; [`NodalAnalysis::compute`] solves the mesh for one
+//! input and remains the reference it is tested against.
 
 use vortex_linalg::iterative::{conjugate_gradient, SolveOptions};
-use vortex_linalg::sparse::TripletBuilder;
+use vortex_linalg::sparse::{CsrMatrix, TripletBuilder};
 use vortex_linalg::Matrix;
 
 use crate::{Result, XbarError};
@@ -170,6 +176,18 @@ impl NodalAnalysis {
         col_terminations: &[ColTermination],
         warm_start: Option<&[f64]>,
     ) -> Result<Vec<f64>> {
+        let (a, rhs) = self.stamp(g, row_drives, col_terminations);
+        self.solve(&a, &rhs, warm_start)
+    }
+
+    /// Stamps the conductance Laplacian of the mesh and the right-hand
+    /// side its boundary voltages induce.
+    fn stamp(
+        &self,
+        g: &Matrix,
+        row_drives: &[RowDrive],
+        col_terminations: &[ColTermination],
+    ) -> (CsrMatrix, Vec<f64>) {
         let (m, n) = (self.rows, self.cols);
         let gw = self.g_wire;
         let n_nodes = 2 * m * n;
@@ -219,11 +237,51 @@ impl NodalAnalysis {
                 }
             }
         }
+        (a.build(), rhs)
+    }
 
-        let a = a.build();
+    fn solve(&self, a: &CsrMatrix, rhs: &[f64], warm_start: Option<&[f64]>) -> Result<Vec<f64>> {
         let report =
-            conjugate_gradient(&a, &rhs, warm_start, &self.options).map_err(XbarError::Numeric)?;
+            conjugate_gradient(a, rhs, warm_start, &self.options).map_err(XbarError::Numeric)?;
         Ok(report.x)
+    }
+
+    /// The compute-mode read compiled into a `rows × cols` transfer
+    /// matrix: for conductances `g`, the sensed column currents of a read
+    /// at input `x` are `Tᵀx` (`y_j = Σᵢ xᵢ·T[i][j]`), with IR drop
+    /// included.
+    ///
+    /// With the conductances fixed, the compute-mode mesh (rows driven
+    /// through their driver segment, columns terminated at 0 V) is a
+    /// linear network, so the map from row voltages to column currents is
+    /// linear. Its Laplacian `A` is symmetric, so by reciprocity column
+    /// `j` of the map is one adjoint solve: excite column `j`'s
+    /// termination at 1 V (`rhs[B(m−1,j)] = g_wire`) with every row
+    /// driver at 0 V, and read `T[i][j] = g_wire · v[T(i,0)]` off the
+    /// row-wire node next to each driver. That is
+    /// `cols` solves against one stamped matrix, instead of one solve per
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// * [`XbarError::ShapeMismatch`] if `g` disagrees with the mesh.
+    /// * [`XbarError::Numeric`] if a CG solve fails.
+    pub fn transfer_matrix(&self, g: &Matrix) -> Result<Matrix> {
+        self.check_shape(g)?;
+        let grounded_rows = vec![RowDrive::Voltage(0.0); self.rows];
+        let grounded_cols = vec![ColTermination::Voltage(0.0); self.cols];
+        let (a, mut rhs) = self.stamp(g, &grounded_rows, &grounded_cols);
+        let mut t = Matrix::zeros(self.rows, self.cols);
+        for j in 0..self.cols {
+            let excited = self.b_idx(self.rows - 1, j);
+            rhs.fill(0.0);
+            rhs[excited] = self.g_wire;
+            let v = self.solve(&a, &rhs, None)?;
+            for i in 0..self.rows {
+                t[(i, j)] = self.g_wire * v[self.t_idx(i, 0)];
+            }
+        }
+        Ok(t)
     }
 
     /// Compute-mode (read) solve: rows driven at `x`, columns at virtual

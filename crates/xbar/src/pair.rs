@@ -134,8 +134,17 @@ pub enum ReadCircuit {
         /// Attenuation of the negative crossbar.
         neg: ComputeAttenuationMap,
     },
-    /// Full nodal solve per read (accurate, expensive).
-    Exact(NodalAnalysis),
+    /// Exact IR drop: the nodal mesh of each crossbar compiled into its
+    /// transfer matrix ([`NodalAnalysis::transfer_matrix`]), so a read is
+    /// one matrix-vector product per crossbar. The matrices hold the
+    /// conductances the pair had when [`ReadCircuit::exact_for`] built
+    /// them; rebuild the circuit after reprogramming.
+    Exact {
+        /// Transfer matrix of the positive crossbar.
+        pos: Matrix,
+        /// Transfer matrix of the negative crossbar.
+        neg: Matrix,
+    },
 }
 
 impl ReadCircuit {
@@ -164,18 +173,19 @@ impl ReadCircuit {
         })
     }
 
-    /// Builds the exact nodal model for the pair's geometry.
+    /// Builds the exact model for the pair's current conductance state:
+    /// one transfer matrix per crossbar (`cols` mesh solves each).
     ///
     /// # Errors
     ///
     /// Returns [`XbarError::InvalidParameter`] if the wire resistance is
-    /// zero.
+    /// zero; propagates solver errors.
     pub fn exact_for(pair: &DifferentialPair) -> Result<Self> {
-        Ok(ReadCircuit::Exact(NodalAnalysis::new(
-            pair.rows(),
-            pair.cols(),
-            pair.config().r_wire,
-        )?))
+        let na = NodalAnalysis::new(pair.rows(), pair.cols(), pair.config().r_wire)?;
+        Ok(ReadCircuit::Exact {
+            pos: na.transfer_matrix(&pair.pos().conductances())?,
+            neg: na.transfer_matrix(&pair.neg().conductances())?,
+        })
     }
 }
 
@@ -318,7 +328,8 @@ impl DifferentialPair {
     ///
     /// # Errors
     ///
-    /// Propagates solver and shape errors.
+    /// Returns [`XbarError::ShapeMismatch`] for an input of the wrong
+    /// length.
     pub fn read(
         &self,
         x: &[f64],
@@ -341,10 +352,7 @@ impl DifferentialPair {
                 pos.compute(&self.pos.conductances(), x),
                 neg.compute(&self.neg.conductances(), x),
             ),
-            ReadCircuit::Exact(na) => (
-                na.compute(&self.pos.conductances(), x)?.column_currents,
-                na.compute(&self.neg.conductances(), x)?.column_currents,
-            ),
+            ReadCircuit::Exact { pos, neg } => (pos.vecmat(x), neg.vecmat(x)),
         };
         let (ip, in_) = match adc {
             Some(adc) => (adc.quantize_vec(&ip), adc.quantize_vec(&in_)),

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use vortex_device::DeviceParams;
+use vortex_linalg::iterative::SolveOptions;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
-use vortex_linalg::Matrix;
+use vortex_linalg::{vector, Matrix};
 use vortex_xbar::circuit::NodalAnalysis;
 use vortex_xbar::ideal;
 use vortex_xbar::pair::WeightMapping;
@@ -227,4 +228,96 @@ proptest! {
         let map = vortex_xbar::irdrop::ProgramVoltageMap::analytic(&g, r_wire, 2.8).unwrap();
         prop_assert!(map.factor(5, 0) + 1e-9 >= map.factor(0, 3));
     }
+}
+
+/// CG tolerance of the transfer-matrix oracle tests (the solver default).
+const CG_TOL: f64 = 1e-9;
+
+/// A random `rows × cols` mesh: conductances in `[1 µS, 100 µS]`.
+fn random_mesh(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    Matrix::from_fn(rows, cols, |_, _| 1e-6 + 99e-6 * rng.next_f64())
+}
+
+fn solver(rows: usize, cols: usize, r_wire: f64, tolerance: f64) -> NodalAnalysis {
+    NodalAnalysis::new(rows, cols, r_wire)
+        .unwrap()
+        .with_options(SolveOptions {
+            max_iterations: 200_000,
+            tolerance,
+            omega: 1.6,
+        })
+}
+
+/// Largest column-current error of `T·x` against a per-sample solve of
+/// `reference`.
+fn worst_current_error(t: &Matrix, reference: &NodalAnalysis, g: &Matrix, x: &[f64]) -> f64 {
+    let y = reference.compute(g, x).unwrap().column_currents;
+    t.vecmat(x)
+        .iter()
+        .zip(&y)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `T·x` is the per-sample nodal read, up to the two CG solves'
+    /// stopping error. A solve stopped at residual ∞-norm `tol` is off
+    /// by `A⁻¹r` in node voltage; `A` is an M-matrix, so `A⁻¹ ≥ 0` and
+    /// each entry is at most the effective resistance of its node to a
+    /// driven boundary, at most `L·r_wire` with `L = max(rows, cols)`
+    /// segments. Summed over the `N = 2·rows·cols` nodes and scaled by
+    /// `g_wire`, a sensed current (and a transfer-matrix entry) is off by
+    /// at most `N·L·tol`; the transfer read weights its entries by `x`.
+    #[test]
+    fn transfer_matrix_matches_per_sample_nodal_read(rows in 2usize..12,
+                                                     cols in 2usize..6,
+                                                     r_wire in 0.5..20.0f64,
+                                                     seed in proptest::num::u64::ANY) {
+        let g = random_mesh(rows, cols, seed);
+        let na = solver(rows, cols, r_wire, CG_TOL);
+        let t = na.transfer_matrix(&g).unwrap();
+        prop_assert_eq!(t.shape(), (rows, cols));
+        let per_current = (2 * rows * cols * rows.max(cols)) as f64 * CG_TOL;
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(!seed);
+        for _ in 0..4 {
+            let x: Vec<f64> = (0..rows).map(|_| rng.next_f64()).collect();
+            let bound = (1.0 + vector::norm1(&x)) * per_current;
+            let err = worst_current_error(&t, &na, &g, &x);
+            prop_assert!(err <= bound, "T·x off the nodal read by {err:e} > {bound:e}");
+        }
+    }
+}
+
+#[test]
+fn transfer_matrix_is_at_least_as_accurate_as_the_per_sample_solve() {
+    // Against a near-exact solve, the compiled read is no less accurate
+    // than the per-sample read it replaces at the same CG tolerance.
+    let (rows, cols, r_wire) = (11, 5, 20.0);
+    let tight = solver(rows, cols, r_wire, 1e-15);
+    let na = solver(rows, cols, r_wire, CG_TOL);
+    let meshes_where_t_wins = (0..8u64)
+        .filter(|&seed| {
+            let g = random_mesh(rows, cols, seed);
+            let t = na.transfer_matrix(&g).unwrap();
+            let x: Vec<f64> = (0..rows)
+                .map(|i| ((i as f64 + 1.0) * 0.37).sin().abs())
+                .collect();
+            let exact = tight.compute(&g, &x).unwrap().column_currents;
+            let per_sample = na.compute(&g, &x).unwrap().column_currents;
+            let err = |y: &[f64]| {
+                y.iter()
+                    .zip(&exact)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max)
+            };
+            err(&t.vecmat(&x)) <= err(&per_sample)
+        })
+        .count();
+    assert!(
+        meshes_where_t_wins >= 1,
+        "T·x never beat the per-sample solve"
+    );
 }

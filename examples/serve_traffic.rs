@@ -43,7 +43,7 @@ fn main() -> Result<(), Error> {
     let mapping = RowMapping::identity(weights.rows());
 
     // 2. Program one crossbar pair, then freeze it twice: an exact
-    //    (per-sample IR-drop solve) primary and a calibrated fallback.
+    //    (nodal IR-drop) primary and a calibrated fallback.
     let mut env = HardwareEnv::with_sigma(0.3)?.with_ir_drop(4.0);
     env.compensate_program_irdrop = true;
     let compiler = env.compiler().with_calibration(&split.test.mean_input());
