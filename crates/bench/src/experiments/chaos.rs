@@ -237,7 +237,8 @@ pub fn run(scale: &Scale) -> ChaosBenchResult {
         move || -> CompiledModel {
             env.compiler()
                 .with_calibration(&calibration)
-                .compile(&weights, &mapping, &mut seed_rng.clone())
+                .request(&weights, &mapping)
+                .compile_with(&mut seed_rng.clone())
                 .expect("compile")
                 .with_canary_inputs(canaries.clone())
                 .expect("canary freeze")

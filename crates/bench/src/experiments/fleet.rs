@@ -6,7 +6,7 @@
 //!
 //! * **Ensemble accuracy** — five replicas compiled from distinct
 //!   variation seeds
-//!   ([`ModelCompiler::compile_replicas`](vortex_core::pipeline::ModelCompiler::compile_replicas))
+//!   ([`CompileRequest::compile_replicas`](vortex_core::pipeline::CompileRequest::compile_replicas))
 //!   classify a
 //!   dedicated evaluation set at each sigma; the per-sample majority
 //!   vote is scored against every single chip. A deliberately large
@@ -43,6 +43,7 @@ use vortex_core::report::{fixed, Table};
 use vortex_fleet::ensemble::ensemble_accuracy;
 use vortex_fleet::routing::{Router, RoutingPolicy};
 use vortex_fleet::{Fleet, FleetConfig};
+use vortex_linalg::stats::percentile;
 use vortex_nn::dataset::{DatasetConfig, SynthDigits};
 use vortex_nn::executor::Parallelism;
 use vortex_runtime::CompiledModel;
@@ -390,15 +391,6 @@ impl SimReplica {
     }
 }
 
-/// Exact percentile over a sorted slice (nearest-rank).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Replays one arrival trace through the real [`Router`] and the
 /// virtual-time replicas. Everything is a pure function of the trace
 /// and the policy — no wall clock, no threads.
@@ -543,7 +535,9 @@ pub fn run(scale: &Scale) -> FleetResult {
             .with_ir_drop(5.0);
         let compiler = env.compiler().with_calibration(&eval.mean_input());
         let replicas = compiler
-            .compile_replicas(&weights, &mapping, base_seed, REPLICAS)
+            .request(&weights, &mapping)
+            .seed(base_seed)
+            .compile_replicas(REPLICAS)
             .expect("compilation");
         let singles: Vec<f64> = replicas
             .iter()

@@ -360,7 +360,8 @@ pub fn run(scale: &Scale) -> LifetimeBenchResult {
     let fresh = env
         .compiler()
         .with_calibration(&calibration)
-        .compile(&weights, &mapping, &mut scale.rng(78))
+        .request(&weights, &mapping)
+        .compile_with(&mut scale.rng(78))
         .expect("compile")
         .with_canary_inputs(canaries)
         .expect("canary freeze");

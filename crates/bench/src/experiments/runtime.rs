@@ -3,15 +3,13 @@
 //!
 //! The serving path compiles the digit classifier onto fabricated
 //! hardware exactly once (fabricate → map → program → calibrate), then
-//! meters `infer_batch` four ways:
+//! meters `infer_batch` three ways:
 //!
 //! * **reference** — `Parallelism::Serial` with the f32 fast path
 //!   disabled ([`CompiledModel::with_reference_kernel`]): the pure f64
 //!   kernel, the semantics everything else must match.
 //! * **serial** — `Parallelism::Serial` on the production model (fast
 //!   path on): isolates the certified-f32 kernel gain.
-//! * **spawn** — the pre-pool fan-out (`run_trials_unpooled`): threads
-//!   spawned per batch, the overhead the persistent pool removes.
 //! * **parallel** — `Parallelism::Fixed(threads)` on the shared
 //!   [`WorkerPool`](vortex_nn::pool::WorkerPool): the production path.
 //!
@@ -32,9 +30,8 @@ use std::time::Instant;
 use vortex_core::amp::greedy::RowMapping;
 use vortex_core::pipeline::{HardwareEnv, ReadFidelity};
 use vortex_core::report::{fixed, json_string, Table};
-use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
-use vortex_nn::executor::{run_trials_unpooled, Parallelism};
+use vortex_nn::executor::Parallelism;
 use vortex_runtime::CompiledModel;
 
 use super::common::Scale;
@@ -54,8 +51,6 @@ pub struct RuntimeResult {
     pub reference_sps: f64,
     /// Serial throughput (fast path on), samples/sec.
     pub serial_sps: f64,
-    /// Spawn-per-batch (unpooled) parallel throughput, samples/sec.
-    pub spawn_sps: f64,
     /// Pooled parallel throughput, samples/sec.
     pub parallel_sps: f64,
     /// Serial throughput of the same chip frozen at Exact fidelity,
@@ -109,11 +104,6 @@ impl RuntimeResult {
             fixed(self.serial_sps, 0),
         ]);
         t.add_row([
-            "spawn-per-batch".to_string(),
-            self.threads.to_string(),
-            fixed(self.spawn_sps, 0),
-        ]);
-        t.add_row([
             "parallel (pool)".to_string(),
             self.threads.to_string(),
             fixed(self.parallel_sps, 0),
@@ -148,7 +138,6 @@ impl RuntimeResult {
                 "{{\"rows\":{},\"cols\":{},\"samples\":{},\"threads\":{},",
                 "\"reference_samples_per_sec\":{:.3},",
                 "\"serial_samples_per_sec\":{:.3},",
-                "\"spawn_samples_per_sec\":{:.3},",
                 "\"parallel_samples_per_sec\":{:.3},",
                 "\"exact_samples_per_sec\":{:.3},",
                 "\"exact_transfer_build_ms\":{:.3},",
@@ -162,7 +151,6 @@ impl RuntimeResult {
             self.threads,
             self.reference_sps,
             self.serial_sps,
-            self.spawn_sps,
             self.parallel_sps,
             self.exact_sps,
             self.exact_transfer_build_ms,
@@ -198,36 +186,6 @@ fn meter(model: &CompiledModel, samples: &[&[f64]], parallelism: Parallelism) ->
     scored as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The pre-pool comparison row: fan each pass out with
-/// `run_trials_unpooled` (threads spawned and joined per batch), chunking
-/// the samples the same way `infer_batch` does. Measures the thread
-/// start-up overhead the persistent pool amortizes away.
-fn meter_unpooled(model: &CompiledModel, samples: &[&[f64]], threads: usize) -> f64 {
-    let floor_s = 0.15;
-    let chunk = samples.len().div_ceil(threads).max(1);
-    let chunks: Vec<&[&[f64]]> = samples.chunks(chunk).collect();
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0);
-    let start = Instant::now();
-    let mut scored = 0usize;
-    loop {
-        let labels = run_trials_unpooled(
-            &mut rng,
-            chunks.len(),
-            Parallelism::Fixed(threads),
-            |k, _| {
-                model
-                    .infer_batch(chunks[k], Parallelism::Serial)
-                    .expect("compiled model scores the test set")
-            },
-        );
-        scored += labels.iter().map(Vec::len).sum::<usize>();
-        if start.elapsed().as_secs_f64() >= floor_s {
-            break;
-        }
-    }
-    scored as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Median wall time, in milliseconds, of rebuilding `model`'s derived
 /// read state from unchanged conductances — for an Exact model, the
 /// transfer matrices every conductance change recomputes.
@@ -248,7 +206,7 @@ fn time_rebuild_ms(model: &CompiledModel) -> f64 {
     times[times.len() / 2]
 }
 
-/// Runs the experiment: compile once, meter all four paths, then meter
+/// Runs the experiment: compile once, meter all three paths, then meter
 /// the same chip frozen at Exact fidelity.
 ///
 /// # Panics
@@ -265,7 +223,8 @@ pub fn run(scale: &Scale) -> RuntimeResult {
     let model = env
         .compiler()
         .with_calibration(&test.mean_input())
-        .compile(&weights, &mapping, &mut scale.rng(42))
+        .request(&weights, &mapping)
+        .compile_with(&mut scale.rng(42))
         .expect("model compiles");
     let reference = model.clone().with_reference_kernel();
     // The same generator seed fabricates and programs the same chip.
@@ -273,14 +232,14 @@ pub fn run(scale: &Scale) -> RuntimeResult {
     exact_env.read_fidelity = ReadFidelity::ExactIrDrop;
     let exact = exact_env
         .compiler()
-        .compile(&weights, &mapping, &mut scale.rng(42))
+        .request(&weights, &mapping)
+        .compile_with(&mut scale.rng(42))
         .expect("exact model compiles");
 
     let samples: Vec<&[f64]> = (0..test.len()).map(|i| test.image(i)).collect();
     let threads = 8;
     let reference_sps = meter(&reference, &samples, Parallelism::Serial);
     let serial_sps = meter(&model, &samples, Parallelism::Serial);
-    let spawn_sps = meter_unpooled(&model, &samples, threads);
     let parallel_sps = meter(&model, &samples, Parallelism::Fixed(threads));
     let exact_sps = meter(&exact, &samples, Parallelism::Serial);
     RuntimeResult {
@@ -290,7 +249,6 @@ pub fn run(scale: &Scale) -> RuntimeResult {
         threads,
         reference_sps,
         serial_sps,
-        spawn_sps,
         parallel_sps,
         exact_sps,
         exact_transfer_build_ms: time_rebuild_ms(&exact),
@@ -307,7 +265,7 @@ mod tests {
     fn throughput_is_positive_and_predictions_agree() {
         let r = run(&Scale::bench());
         assert!(r.reference_sps > 0.0 && r.serial_sps > 0.0);
-        assert!(r.spawn_sps > 0.0 && r.parallel_sps > 0.0);
+        assert!(r.parallel_sps > 0.0);
         assert!(r.exact_sps > 0.0 && r.exact_transfer_build_ms > 0.0);
         assert!(r.samples > 0 && r.rows > 0 && r.cols == 10);
         assert!(r.artifact_bytes > 0);
@@ -331,7 +289,6 @@ mod tests {
         assert!(s.contains("Runtime throughput"));
         assert!(s.contains("speedup"));
         assert!(s.contains("reference (f64)"));
-        assert!(s.contains("spawn-per-batch"));
         assert!(s.contains("exact (transfer matrix)"));
         let j = r.to_json();
         for key in [
@@ -341,7 +298,6 @@ mod tests {
             "threads",
             "reference_samples_per_sec",
             "serial_samples_per_sec",
-            "spawn_samples_per_sec",
             "parallel_samples_per_sec",
             "exact_samples_per_sec",
             "exact_transfer_build_ms",

@@ -30,10 +30,12 @@ use std::time::Duration;
 
 use vortex_core::pipeline::HardwareEnv;
 use vortex_core::report::{fixed, Table};
+use vortex_linalg::stats::percentile;
 use vortex_nn::dataset::Dataset;
 use vortex_nn::metrics::accuracy_of_weights;
 use vortex_nn::pool::WorkerPool;
 use vortex_serve::chaos::{ChaosConfig, ChaosPlan};
+use vortex_serve::Hysteresis;
 use vortex_train::{JobConfig, JobReport, TrainerConfig, TrainingJob};
 
 use super::common::Scale;
@@ -238,15 +240,6 @@ impl TrainingResult {
     }
 }
 
-/// Exact percentile over a sorted slice (nearest-rank).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Replays one arrival trace through a single simulated worker shared
 /// with a training job. Whenever the worker frees up, the trainer takes
 /// it for one `T_EPOCH` mini-epoch unless it has parked (queue depth
@@ -260,19 +253,15 @@ fn simulate(trace: &[f64], scenario: &'static str, epochs: usize, yields: bool) 
     let mut queue: VecDeque<f64> = VecDeque::new();
     let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
     let mut epochs_left = epochs;
-    let mut parked = false;
+    let mut band = Hysteresis::new(HIGH_WATER, LOW_WATER).expect("valid watermarks");
     let mut train_done = 0.0_f64;
     loop {
         while idx < trace.len() && trace[idx] <= t {
             queue.push_back(trace[idx]);
             idx += 1;
         }
-        if queue.len() >= HIGH_WATER {
-            parked = true;
-        } else if queue.len() <= LOW_WATER {
-            parked = false;
-        }
-        if epochs_left > 0 && (!yields || !parked) {
+        band.observe(queue.len());
+        if epochs_left > 0 && (!yields || !band.is_degraded()) {
             t += T_EPOCH;
             epochs_left -= 1;
             if epochs_left == 0 {

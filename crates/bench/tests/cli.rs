@@ -112,7 +112,6 @@ fn runtime_payload_passes_the_checked_in_throughput_gate() {
     for key in [
         "reference_samples_per_sec",
         "serial_samples_per_sec",
-        "spawn_samples_per_sec",
         "parallel_samples_per_sec",
         "exact_samples_per_sec",
         "exact_transfer_build_ms",

@@ -26,13 +26,12 @@ use vortex_nn::pool::WorkerPool;
 use vortex_runtime::{CompiledModel, Fidelity, ReadOptions};
 use vortex_xbar::crossbar::CrossbarConfig;
 use vortex_xbar::encoding::{EncodingContext, EncodingSpec, EncodingTable};
-use vortex_xbar::irdrop::ProgramVoltageMap;
-use vortex_xbar::pair::{DifferentialPair, WeightMapping};
-use vortex_xbar::program::{program_with_protocol, ProgramOptions};
+use vortex_xbar::pair::DifferentialPair;
 use vortex_xbar::sensing::Adc;
 
 use crate::amp::greedy::RowMapping;
 use crate::amp::sensitivity::row_sensitivity;
+use crate::vortex::{fabricate_pair, program_targets};
 use crate::{CoreError, Result};
 
 /// Read-path circuit fidelity.
@@ -76,8 +75,10 @@ pub struct HardwareEnv {
     pub w_max: f64,
     /// Cell topology: the paper's passive 1R crossbar (default) or a
     /// 1T-1R array whose access transistor compresses effective
-    /// conductance; programming targets are pre-distorted NEAT-style to
-    /// counteract it (saturating at the top of the weight range).
+    /// conductance. Every programming route — [`ModelCompiler`] requests
+    /// and the [`crate::vortex`] phase functions alike — pre-distorts the
+    /// targets NEAT-style to counteract it (saturating at the top of the
+    /// weight range).
     pub cell: CellKind,
 }
 
@@ -269,7 +270,7 @@ pub fn evaluate_hardware_with(
     let draws = run_trials(rng, mc_draws, parallelism, |_, draw_rng| {
         // Compile once per fabrication draw, then batch-infer the test
         // set through the frozen read path.
-        let model = compiler.compile(weights, mapping, draw_rng)?;
+        let model = compiler.request(weights, mapping).compile_with(draw_rng)?;
         score_model(&model, test)
     });
     let per_draw = draws.into_iter().collect::<Result<Vec<f64>>>()?;
@@ -285,9 +286,12 @@ pub fn evaluate_hardware_with(
 ///
 /// Obtained from [`HardwareEnv::compiler`]. The builder owns its
 /// substrate (a `Copy` of the env) and the optional IR-drop calibration
-/// input, so the three pipeline stages — [`program`](Self::program),
-/// [`freeze`](Self::freeze), [`compile`](Self::compile) — need only the
-/// per-model arguments.
+/// input, so the pipeline stages — [`program`](Self::program),
+/// [`freeze`](Self::freeze), and the one-shot [`request`](Self::request)
+/// — need only the per-model arguments. Every stage programs through the
+/// same open-loop step as the phase functions in [`crate::vortex`], so a
+/// seed compiled here and through `fabricate_pair → program_mapped →
+/// freeze` gives the same model.
 ///
 /// ```no_run
 /// # use vortex_core::pipeline::HardwareEnv;
@@ -299,7 +303,8 @@ pub fn evaluate_hardware_with(
 /// let model = env
 ///     .compiler()
 ///     .with_calibration(calibration)
-///     .compile(weights, mapping, rng)?;
+///     .request(weights, mapping)
+///     .compile_with(rng)?;
 /// # let _ = model; Ok(())
 /// # }
 /// ```
@@ -339,8 +344,9 @@ impl ModelCompiler {
     }
 
     /// Starts a [`CompileRequest`] for `weights` under `mapping`: the
-    /// builder form of the compile path, carrying encoding, seed, canary
-    /// and parallelism choices in one options struct.
+    /// compile path from trained weights to a servable [`CompiledModel`]
+    /// (fabricate → program → freeze), carrying encoding, seed, canary
+    /// and parallelism choices.
     pub fn request<'a>(
         &'a self,
         weights: &'a Matrix,
@@ -350,7 +356,10 @@ impl ModelCompiler {
             compiler: self,
             weights,
             mapping,
-            options: CompileOptions::new(),
+            encoding: EncodingSpec::DifferentialPair,
+            seed: None,
+            canary_inputs: None,
+            parallelism: Parallelism::Serial,
         }
     }
 
@@ -396,12 +405,13 @@ impl ModelCompiler {
 
     /// The programming stage with an explicit weight encoding: fabricate,
     /// encode the physical weights into per-crossbar targets (quantizing
-    /// and pre-distorting for the cell topology as the spec and
-    /// [`HardwareEnv::cell`] demand), then run the open-loop protocol.
+    /// as the spec demands), then run the shared open-loop programming
+    /// step, which pre-distorts for [`HardwareEnv::cell`].
     ///
-    /// The default differential encoding on a 1R array takes a transform-
-    /// free fast path that is bit-identical to the historical programming
-    /// code — same float operations, no RNG consumed by the encoder.
+    /// The default differential encoding takes the transform-free
+    /// [`WeightMapping::weights_to_targets`](vortex_xbar::pair::WeightMapping::weights_to_targets)
+    /// path — the same float operations as the phase functions, no RNG
+    /// consumed by the encoder.
     fn program_encoded(
         &self,
         weights: &Matrix,
@@ -409,17 +419,10 @@ impl ModelCompiler {
         spec: EncodingSpec,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Result<(DifferentialPair, EncodingTable)> {
-        let env = &self.env;
-        let cols = weights.cols();
         let physical_rows = mapping.physical_rows();
-        let config = env.crossbar_config(physical_rows, cols);
-        let wm = WeightMapping::new(&env.device, env.w_max).map_err(CoreError::Xbar)?;
-        let mut pair = DifferentialPair::fabricate(config, wm, rng).map_err(CoreError::Xbar)?;
-
+        let mut pair = fabricate_pair(weights.cols(), physical_rows, &self.env, rng)?;
         let physical_weights = mapping.apply_to_rows(weights, 0.0);
-        let (targets_pos, targets_neg, table) = if spec.is_differential() && env.cell.is_one_r() {
-            // The paper's path, untouched: no quantizer, no cell
-            // transform, bit-for-bit the pre-encoding target math.
+        let (targets_pos, targets_neg, table) = if spec.is_differential() {
             let (pos, neg) = pair.mapping().weights_to_targets(&physical_weights);
             (pos, neg, EncodingTable::differential(physical_rows))
         } else {
@@ -435,59 +438,9 @@ impl ModelCompiler {
             let encoded = encoder
                 .encode(&physical_weights, pair.mapping(), &ctx)
                 .map_err(CoreError::Xbar)?;
-            let (mut pos, mut neg) = (encoded.pos, encoded.neg);
-            if !env.cell.is_one_r() {
-                // NEAT-style pre-distortion: program the conductance that
-                // reads as the desired one through the access transistor.
-                let (g_min, g_max) = (pair.mapping().g_min(), pair.mapping().g_max());
-                let cell = env.cell;
-                pos.map_inplace(|g| cell.program_target(g, g_min, g_max));
-                neg.map_inplace(|g| cell.program_target(g, g_min, g_max));
-            }
-            (pos, neg, encoded.table)
+            (encoded.pos, encoded.neg, encoded.table)
         };
-
-        let (actual_pos, actual_neg, estimate_pos, estimate_neg) =
-            if env.program_irdrop && env.r_wire > 0.0 {
-                let v = env.device.v_program();
-                let ap = ProgramVoltageMap::analytic(&targets_pos, env.r_wire, v)
-                    .map_err(CoreError::Xbar)?;
-                let an = ProgramVoltageMap::analytic(&targets_neg, env.r_wire, v)
-                    .map_err(CoreError::Xbar)?;
-                let (ep, en) = if env.compensate_program_irdrop {
-                    (Some(ap.clone()), Some(an.clone()))
-                } else {
-                    (None, None)
-                };
-                (Some(ap), Some(an), ep, en)
-            } else {
-                (None, None, None, None)
-            };
-
-        let opts_pos = ProgramOptions {
-            compensation: estimate_pos,
-            half_select_disturb: false,
-        };
-        let opts_neg = ProgramOptions {
-            compensation: estimate_neg,
-            half_select_disturb: false,
-        };
-        program_with_protocol(
-            pair.pos_mut(),
-            &targets_pos,
-            actual_pos.as_ref(),
-            &opts_pos,
-            rng,
-        )
-        .map_err(CoreError::Xbar)?;
-        program_with_protocol(
-            pair.neg_mut(),
-            &targets_neg,
-            actual_neg.as_ref(),
-            &opts_neg,
-            rng,
-        )
-        .map_err(CoreError::Xbar)?;
+        program_targets(&mut pair, targets_pos, targets_neg, None, &self.env, rng)?;
         Ok((pair, table))
     }
 
@@ -528,117 +481,16 @@ impl ModelCompiler {
         )
         .map_err(CoreError::Runtime)
     }
-
-    /// Fabricates, programs and freezes in one step: the full compile
-    /// path from trained weights to a servable [`CompiledModel`].
-    ///
-    /// Equivalent to `self.request(weights, mapping).compile_with(rng)`
-    /// with default options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabrication, programming and calibration errors.
-    pub fn compile(
-        &self,
-        weights: &Matrix,
-        mapping: &RowMapping,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> Result<CompiledModel> {
-        self.request(weights, mapping).compile_with(rng)
-    }
-
-    /// [`Self::compile`] from a bare variation seed: fabricates a fresh
-    /// substrate whose device variations are drawn from `seed` alone, so
-    /// every distinct seed is a distinct simulated physical chip and the
-    /// same seed always yields the bit-identical model. This is the
-    /// canonical way to build fleet replicas.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::compile`].
-    pub fn compile_seeded(
-        &self,
-        weights: &Matrix,
-        mapping: &RowMapping,
-        seed: u64,
-    ) -> Result<CompiledModel> {
-        self.request(weights, mapping).seed(seed).compile()
-    }
-
-    /// Compiles `n` replicas from `n` distinct variation seeds derived
-    /// deterministically from `base_seed` (SplitMix64 stream, so the
-    /// seeds — and hence the chips — are independent). Returns
-    /// `(seed, model)` pairs in replica order.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::compile`]; the first failing replica (by replica
-    /// index) aborts the batch.
-    pub fn compile_replicas(
-        &self,
-        weights: &Matrix,
-        mapping: &RowMapping,
-        base_seed: u64,
-        n: usize,
-    ) -> Result<Vec<(u64, CompiledModel)>> {
-        self.request(weights, mapping)
-            .seed(base_seed)
-            .compile_replicas(n)
-    }
-}
-
-/// Options carried by a [`CompileRequest`].
-///
-/// Marked `#[non_exhaustive]` so future compile knobs don't break
-/// callers: construct via [`CompileOptions::new`] (or the builder methods
-/// on [`CompileRequest`]) and mutate fields.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct CompileOptions {
-    /// Weight→conductance encoding strategy (default: the paper's
-    /// continuous differential pair).
-    pub encoding: EncodingSpec,
-    /// Variation seed for fabrication. Required by
-    /// [`CompileRequest::compile`] and [`CompileRequest::compile_replicas`]
-    /// (as the replica base seed); unused by
-    /// [`CompileRequest::compile_with`], which takes an external stream.
-    pub seed: Option<u64>,
-    /// Probe inputs to freeze as the model's canary set right after
-    /// compilation (see `CompiledModel::with_canary_inputs`).
-    pub canary_inputs: Option<Vec<Vec<f64>>>,
-    /// Fan-out for [`CompileRequest::compile_replicas`]. Defaults to
-    /// [`Parallelism::Serial`] — the historical replica loop; any setting
-    /// produces bit-identical models because every replica's RNG stream
-    /// is derived from its own seed.
-    pub parallelism: Parallelism,
-}
-
-impl CompileOptions {
-    /// Default options: differential encoding, no seed, no canaries,
-    /// serial replica compilation.
-    pub fn new() -> Self {
-        Self {
-            encoding: EncodingSpec::DifferentialPair,
-            seed: None,
-            canary_inputs: None,
-            parallelism: Parallelism::Serial,
-        }
-    }
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// A single compile invocation, built fluently from
-/// [`ModelCompiler::request`]: weights + routing + [`CompileOptions`].
+/// [`ModelCompiler::request`]: weights + routing + encoding, seed, canary
+/// and parallelism choices.
 ///
-/// This is the one place all compile paths meet — the legacy positional
-/// methods ([`ModelCompiler::compile`], [`ModelCompiler::compile_seeded`],
-/// [`ModelCompiler::compile_replicas`]) are thin delegates over it, pinned
-/// bit-equal by the equivalence tests.
+/// This is the one way to compile trained weights into a servable model:
+/// from an external RNG stream ([`compile_with`](Self::compile_with)),
+/// from a bare variation seed ([`compile`](Self::compile)), or as seeded
+/// replicas ([`compile_replicas`](Self::compile_replicas)).
 ///
 /// # Example
 ///
@@ -668,48 +520,45 @@ pub struct CompileRequest<'a> {
     compiler: &'a ModelCompiler,
     weights: &'a Matrix,
     mapping: &'a RowMapping,
-    options: CompileOptions,
+    encoding: EncodingSpec,
+    seed: Option<u64>,
+    canary_inputs: Option<Vec<Vec<f64>>>,
+    parallelism: Parallelism,
 }
 
 impl CompileRequest<'_> {
-    /// Sets the weight encoding strategy.
+    /// Sets the weight→conductance encoding strategy (default: the
+    /// paper's continuous differential pair).
     pub fn encoding(mut self, spec: EncodingSpec) -> Self {
-        self.options.encoding = spec;
+        self.encoding = spec;
         self
     }
 
-    /// Sets the variation seed (replica base seed for
-    /// [`Self::compile_replicas`]).
+    /// Sets the variation seed. Required by [`Self::compile`] and
+    /// [`Self::compile_replicas`] (as the replica base seed); unused by
+    /// [`Self::compile_with`], which takes an external stream.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.options.seed = Some(seed);
+        self.seed = Some(seed);
         self
     }
 
-    /// Freezes `inputs` as the compiled model's canary probe set.
+    /// Freezes `inputs` as the compiled model's canary probe set right
+    /// after compilation (see `CompiledModel::with_canary_inputs`).
     pub fn canary_inputs(mut self, inputs: Vec<Vec<f64>>) -> Self {
-        self.options.canary_inputs = Some(inputs);
+        self.canary_inputs = Some(inputs);
         self
     }
 
-    /// Sets the replica fan-out parallelism.
+    /// Sets the fan-out for [`Self::compile_replicas`]. Defaults to
+    /// [`Parallelism::Serial`]; any setting produces bit-identical models
+    /// because every replica's RNG stream is derived from its own seed.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.options.parallelism = parallelism;
+        self.parallelism = parallelism;
         self
-    }
-
-    /// Replaces the whole options struct at once.
-    pub fn with_options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The options as currently configured.
-    pub fn options(&self) -> &CompileOptions {
-        &self.options
     }
 
     /// Compiles with an external RNG stream (the Monte-Carlo harness
-    /// path); `options.seed` is ignored here.
+    /// path); the request's seed is ignored here.
     ///
     /// # Errors
     ///
@@ -717,16 +566,13 @@ impl CompileRequest<'_> {
     /// errors.
     pub fn compile_with(&self, rng: &mut Xoshiro256PlusPlus) -> Result<CompiledModel> {
         let _span = vortex_obs::span!("pipeline.compile_seconds");
-        let (pair, table) = self.compiler.program_encoded(
-            self.weights,
-            self.mapping,
-            self.options.encoding,
-            rng,
-        )?;
+        let (pair, table) =
+            self.compiler
+                .program_encoded(self.weights, self.mapping, self.encoding, rng)?;
         let model = self
             .compiler
             .freeze_with_table(&pair, self.mapping, table)?;
-        match &self.options.canary_inputs {
+        match &self.canary_inputs {
             Some(inputs) => model
                 .with_canary_inputs(inputs.clone())
                 .map_err(CoreError::Runtime),
@@ -734,7 +580,7 @@ impl CompileRequest<'_> {
         }
     }
 
-    /// Compiles from `options.seed` alone — one seed, one simulated chip,
+    /// Compiles from the request's seed alone — one seed, one simulated chip,
     /// bit-reproducible.
     ///
     /// # Errors
@@ -746,8 +592,8 @@ impl CompileRequest<'_> {
         self.compile_with(&mut rng)
     }
 
-    /// Compiles `n` replicas from seeds pre-split off `options.seed`,
-    /// fanning out over `options.parallelism` (results are in replica
+    /// Compiles `n` replicas from seeds pre-split off the request's seed,
+    /// fanning out over its parallelism (results are in replica
     /// order and bit-identical at any setting). Returns `(seed, model)`
     /// pairs.
     ///
@@ -762,7 +608,7 @@ impl CompileRequest<'_> {
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(seeds[i]);
             Ok((seeds[i], self.compile_with(&mut rng)?))
         };
-        let workers = self.options.parallelism.resolve().min(n);
+        let workers = self.parallelism.resolve().min(n);
         if workers <= 1 {
             return (0..n).map(compile_one).collect();
         }
@@ -773,7 +619,7 @@ impl CompileRequest<'_> {
     }
 
     fn require_seed(&self) -> Result<u64> {
-        self.options.seed.ok_or(CoreError::InvalidParameter {
+        self.seed.ok_or(CoreError::InvalidParameter {
             name: "seed",
             requirement: "set a seed on the request (or use compile_with an external rng)",
         })
@@ -962,7 +808,8 @@ mod tests {
         let one_shot = env
             .compiler()
             .with_calibration(&calibration)
-            .compile(&w, &mapping, &mut rng())
+            .request(&w, &mapping)
+            .compile_with(&mut rng())
             .unwrap();
         // program → freeze staged through the same builder must produce
         // the same frozen read, sample for sample: same seed, same

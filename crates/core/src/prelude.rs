@@ -3,7 +3,7 @@
 //! Re-exports the canonical entry points of the whole workspace — the
 //! substrate description ([`HardwareEnv`], [`CellKind`]), the compile
 //! path ([`ModelCompiler`] via [`HardwareEnv::compiler`], the
-//! [`CompileRequest`] builder and its [`CompileOptions`], the pluggable
+//! [`CompileRequest`] builder, the pluggable
 //! [`EncodingSpec`]/[`WeightEncoding`] strategies), the frozen read
 //! ([`CompiledModel`], [`Fidelity`], [`EncodingTable`]), the Monte-Carlo
 //! executor knob ([`Parallelism`]) and the unified [`Error`]/[`Result`]
@@ -12,8 +12,8 @@
 
 pub use crate::error::{Error, Result};
 pub use crate::pipeline::{
-    evaluate_hardware, evaluate_hardware_with, CompileOptions, CompileRequest, HardwareEnv,
-    HardwareEvaluation, ModelCompiler, ReadFidelity,
+    evaluate_hardware, evaluate_hardware_with, CompileRequest, HardwareEnv, HardwareEvaluation,
+    ModelCompiler, ReadFidelity,
 };
 pub use crate::vortex::{VortexConfig, VortexPipeline};
 pub use crate::CoreError;

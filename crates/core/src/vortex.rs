@@ -22,6 +22,7 @@ use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
 use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::metrics::{accuracy_of_weights, Rates};
+use vortex_xbar::crossbar::Crossbar;
 use vortex_xbar::irdrop::ProgramVoltageMap;
 use vortex_xbar::pair::{DifferentialPair, WeightMapping};
 use vortex_xbar::pretest::{pretest, PretestConfig};
@@ -375,7 +376,7 @@ pub fn compensate_targets(
 }
 
 /// Open-loop programs `weights` into `pair` through `mapping`, honoring
-/// the environment's programming-path IR-drop settings.
+/// the environment's cell topology and programming-path IR-drop settings.
 ///
 /// # Errors
 ///
@@ -408,50 +409,61 @@ pub fn program_mapped_with(
 ) -> Result<()> {
     let physical_weights = mapping.apply_to_rows(weights, 0.0);
     let (targets_pos, targets_neg) = pair.mapping().weights_to_targets(&physical_weights);
-    let (targets_pos, targets_neg) = match pretest_mults {
-        Some((mp, mn)) => (
-            compensate_targets(&targets_pos, mp, &env.device),
-            compensate_targets(&targets_neg, mn, &env.device),
-        ),
-        None => (targets_pos, targets_neg),
-    };
-    let (actual_pos, actual_neg, est_pos, est_neg) = if env.program_irdrop && env.r_wire > 0.0 {
-        let v = env.device.v_program();
-        let ap =
-            ProgramVoltageMap::analytic(&targets_pos, env.r_wire, v).map_err(CoreError::Xbar)?;
-        let an =
-            ProgramVoltageMap::analytic(&targets_neg, env.r_wire, v).map_err(CoreError::Xbar)?;
-        let (ep, en) = if env.compensate_program_irdrop {
-            (Some(ap.clone()), Some(an.clone()))
-        } else {
-            (None, None)
+    program_targets(pair, targets_pos, targets_neg, pretest_mults, env, rng)
+}
+
+/// The one open-loop programming step behind every compile route
+/// ([`program_mapped_with`] and the [`ModelCompiler`](crate::pipeline::ModelCompiler)):
+///
+/// 1. on a 1T-1R substrate, NEAT-style pre-distortion — program the
+///    conductance that reads as the desired one through the access
+///    transistor;
+/// 2. optional pre-test compensation, so the device lands on
+///    `program_target(g)/e^θ̂`;
+/// 3. the programming-path IR-drop map (and its pulse-width
+///    compensation, when enabled);
+/// 4. the V/2 protocol on the positive crossbar, then the negative one.
+pub(crate) fn program_targets(
+    pair: &mut DifferentialPair,
+    mut targets_pos: Matrix,
+    mut targets_neg: Matrix,
+    pretest_mults: Option<(&Matrix, &Matrix)>,
+    env: &HardwareEnv,
+    rng: &mut Xoshiro256PlusPlus,
+) -> Result<()> {
+    if !env.cell.is_one_r() {
+        let (g_min, g_max) = (pair.mapping().g_min(), pair.mapping().g_max());
+        let cell = env.cell;
+        targets_pos.map_inplace(|g| cell.program_target(g, g_min, g_max));
+        targets_neg.map_inplace(|g| cell.program_target(g, g_min, g_max));
+    }
+    if let Some((mp, mn)) = pretest_mults {
+        targets_pos = compensate_targets(&targets_pos, mp, &env.device);
+        targets_neg = compensate_targets(&targets_neg, mn, &env.device);
+    }
+    let program =
+        |xbar: &mut Crossbar, targets: &Matrix, rng: &mut Xoshiro256PlusPlus| -> Result<()> {
+            let actual = if env.program_irdrop && env.r_wire > 0.0 {
+                Some(
+                    ProgramVoltageMap::analytic(targets, env.r_wire, env.device.v_program())
+                        .map_err(CoreError::Xbar)?,
+                )
+            } else {
+                None
+            };
+            let options = ProgramOptions {
+                compensation: if env.compensate_program_irdrop {
+                    actual.clone()
+                } else {
+                    None
+                },
+                half_select_disturb: false,
+            };
+            program_with_protocol(xbar, targets, actual.as_ref(), &options, rng)
+                .map_err(CoreError::Xbar)
         };
-        (Some(ap), Some(an), ep, en)
-    } else {
-        (None, None, None, None)
-    };
-    program_with_protocol(
-        pair.pos_mut(),
-        &targets_pos,
-        actual_pos.as_ref(),
-        &ProgramOptions {
-            compensation: est_pos,
-            half_select_disturb: false,
-        },
-        rng,
-    )
-    .map_err(CoreError::Xbar)?;
-    program_with_protocol(
-        pair.neg_mut(),
-        &targets_neg,
-        actual_neg.as_ref(),
-        &ProgramOptions {
-            compensation: est_neg,
-            half_select_disturb: false,
-        },
-        rng,
-    )
-    .map_err(CoreError::Xbar)
+    program(pair.pos_mut(), &targets_pos, rng)?;
+    program(pair.neg_mut(), &targets_neg, rng)
 }
 
 /// Evaluates fixed, already-trained `weights` with per-chip AMP mapping —

@@ -1,11 +1,12 @@
 //! Equivalence and behaviour tests for the [`CompileRequest`] builder.
 //!
-//! The legacy positional compile methods are thin delegates over the
-//! request builder; these tests pin that equivalence at the strongest
-//! available granularity — byte equality of the serialized artifact.
+//! Every route to a programmed chip shares one programming step; these
+//! tests pin that equivalence at the strongest available granularity —
+//! byte equality of the serialized artifact.
 
 use vortex_core::amp::greedy::RowMapping;
-use vortex_core::pipeline::{CompileOptions, HardwareEnv};
+use vortex_core::pipeline::HardwareEnv;
+use vortex_core::vortex::{fabricate_pair, program_mapped};
 use vortex_core::CoreError;
 use vortex_device::cell::CellKind;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
@@ -14,10 +15,6 @@ use vortex_nn::dataset::{Dataset, DatasetConfig, SynthDigits};
 use vortex_nn::executor::Parallelism;
 use vortex_nn::gdt::GdtTrainer;
 use vortex_xbar::encoding::{EncodingScheme, EncodingSpec};
-
-fn rng() -> Xoshiro256PlusPlus {
-    Xoshiro256PlusPlus::seed_from_u64(123)
-}
 
 fn small_setup() -> (Dataset, Matrix) {
     let data = SynthDigits::generate(&DatasetConfig::tiny(), 7).unwrap();
@@ -30,31 +27,38 @@ fn small_setup() -> (Dataset, Matrix) {
     (data, w)
 }
 
+/// The request builder and the Vortex phase functions are two routes to
+/// the same programmed chip: drawn from one seed, they must freeze into
+/// byte-identical artifacts on every substrate, including the 1T-1R
+/// array whose targets need pre-distortion.
 #[test]
-fn legacy_compile_is_bit_equal_to_the_request_builder() {
+fn request_and_phase_functions_agree_byte_for_byte() {
     let (data, w) = small_setup();
     let mapping = RowMapping::identity(w.rows());
-    let env = HardwareEnv::with_sigma(0.4).unwrap().with_ir_drop(4.0);
-    let compiler = env.compiler().with_calibration(&data.mean_input());
+    let ir_drop = HardwareEnv::with_sigma(0.3).unwrap().with_ir_drop(4.0);
+    let mut compensated = ir_drop;
+    compensated.compensate_program_irdrop = true;
+    let mut one_t1r = HardwareEnv::with_sigma(0.3).unwrap();
+    one_t1r.cell = CellKind::one_t1r(3.0e3).unwrap();
 
-    let legacy = compiler.compile(&w, &mapping, &mut rng()).unwrap();
-    let via_request = compiler
-        .request(&w, &mapping)
-        .compile_with(&mut rng())
-        .unwrap();
-    assert_eq!(legacy.to_bytes(), via_request.to_bytes());
-}
+    for (name, env) in [
+        ("1R + IR-drop", ir_drop),
+        ("1R + compensated IR-drop", compensated),
+        ("1T-1R", one_t1r),
+    ] {
+        let compiler = env.compiler().with_calibration(&data.mean_input());
+        let via_request = compiler.request(&w, &mapping).seed(31).compile().unwrap();
 
-#[test]
-fn compile_seeded_is_bit_equal_to_a_seeded_request() {
-    let (data, w) = small_setup();
-    let mapping = RowMapping::identity(w.rows());
-    let env = HardwareEnv::with_sigma(0.3).unwrap();
-    let compiler = env.compiler().with_calibration(&data.mean_input());
-
-    let legacy = compiler.compile_seeded(&w, &mapping, 77).unwrap();
-    let via_request = compiler.request(&w, &mapping).seed(77).compile().unwrap();
-    assert_eq!(legacy.to_bytes(), via_request.to_bytes());
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(31);
+        let mut pair = fabricate_pair(w.cols(), mapping.physical_rows(), &env, &mut rng).unwrap();
+        program_mapped(&mut pair, &w, &mapping, &env, &mut rng).unwrap();
+        let via_phases = compiler.freeze(&pair, &mapping).unwrap();
+        assert_eq!(
+            via_request.to_bytes(),
+            via_phases.to_bytes(),
+            "{name}: request and phase functions compiled different models"
+        );
+    }
 }
 
 #[test]
@@ -64,50 +68,22 @@ fn replica_compilation_is_parallelism_invariant() {
     let env = HardwareEnv::with_sigma(0.3).unwrap();
     let compiler = env.compiler().with_calibration(&data.mean_input());
 
-    let serial = compiler.compile_replicas(&w, &mapping, 9, 4).unwrap();
-    let parallel = compiler
-        .request(&w, &mapping)
-        .seed(9)
-        .parallelism(Parallelism::Fixed(4))
-        .compile_replicas(4)
-        .unwrap();
+    let replicas = |parallelism| {
+        compiler
+            .request(&w, &mapping)
+            .seed(9)
+            .parallelism(parallelism)
+            .compile_replicas(4)
+            .unwrap()
+    };
+    let serial = replicas(Parallelism::Serial);
+    let parallel = replicas(Parallelism::Fixed(4));
+    assert_eq!(serial.len(), 4);
     assert_eq!(serial.len(), parallel.len());
     for ((sa, ma), (sb, mb)) in serial.iter().zip(&parallel) {
         assert_eq!(sa, sb);
         assert_eq!(ma.to_bytes(), mb.to_bytes());
     }
-}
-
-#[test]
-fn with_options_equals_the_fluent_setters() {
-    let (data, w) = small_setup();
-    let mapping = RowMapping::identity(w.rows());
-    let env = HardwareEnv::with_sigma(0.2).unwrap();
-    let compiler = env.compiler().with_calibration(&data.mean_input());
-
-    let mut options = CompileOptions::new();
-    options.encoding = EncodingSpec::MultiLevelCell { bits: 4 };
-    options.seed = Some(5);
-    let a = compiler
-        .request(&w, &mapping)
-        .with_options(options.clone())
-        .compile()
-        .unwrap();
-    let b = compiler
-        .request(&w, &mapping)
-        .encoding(EncodingSpec::MultiLevelCell { bits: 4 })
-        .seed(5)
-        .compile()
-        .unwrap();
-    assert_eq!(
-        compiler
-            .request(&w, &mapping)
-            .with_options(options)
-            .options()
-            .seed,
-        Some(5)
-    );
-    assert_eq!(a.to_bytes(), b.to_bytes());
 }
 
 #[test]
@@ -164,13 +140,17 @@ fn one_t1r_cell_compiles_and_differs_from_the_passive_array() {
     let one_r = env
         .compiler()
         .with_calibration(&data.mean_input())
-        .compile_seeded(&w, &mapping, 11)
+        .request(&w, &mapping)
+        .seed(11)
+        .compile()
         .unwrap();
     env.cell = CellKind::one_t1r(3.0e3).unwrap();
     let one_t1r = env
         .compiler()
         .with_calibration(&data.mean_input())
-        .compile_seeded(&w, &mapping, 11)
+        .request(&w, &mapping)
+        .seed(11)
+        .compile()
         .unwrap();
     // The access transistor reshapes the frozen conductances …
     assert_ne!(one_r.to_bytes(), one_t1r.to_bytes());

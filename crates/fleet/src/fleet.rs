@@ -91,10 +91,8 @@ impl Fleet {
     /// Builds a fleet over `(variation seed, model)` pairs on the
     /// process-wide [`WorkerPool::global`]. The seed is carried for
     /// observability and replica identity — compile the models with
-    /// `ModelCompiler::compile_seeded`/`compile_replicas` (or the
-    /// `CompileRequest` builder those delegate to, when a replica needs
-    /// a non-default weight encoding) so it is the actual fabrication
-    /// seed.
+    /// `CompileRequest::compile`/`compile_replicas` so it is the actual
+    /// fabrication seed.
     ///
     /// # Errors
     ///

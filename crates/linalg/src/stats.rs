@@ -51,6 +51,21 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
+/// Nearest-rank percentile of an already **sorted** slice: the smallest
+/// element with at least `p`% of the samples at or below it. `p` is in
+/// percent; `p <= 0` gives the minimum and `p >= 100` the maximum.
+/// Returns 0 for an empty slice.
+///
+/// Unlike [`quantile`] it never interpolates, so every result is an
+/// observed sample — the convention of latency tail reports.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Median.
 pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
@@ -221,6 +236,19 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert_eq!(median(&xs), 2.5);
         assert!((quantile(&xs, 1.0 / 3.0) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 50.0), 5.0);
+        assert_eq!(percentile(&xs, 99.9), 10.0);
+        assert_eq!(percentile(&xs, 100.0), 10.0);
+        // An observed sample, never an interpolation between two.
+        assert_eq!(percentile(&xs[..4], 50.0), 2.0);
+        assert_eq!(quantile(&xs[..4], 0.5), 2.5);
     }
 
     #[test]

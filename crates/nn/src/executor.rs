@@ -29,11 +29,6 @@
 //! default everywhere) honors the `VORTEX_MC_THREADS` environment
 //! variable, falling back to [`std::thread::available_parallelism`].
 //!
-//! [`run_trials_unpooled`] keeps the original per-call
-//! `std::thread::scope` + mpsc implementation. It is not used by any
-//! pipeline — it exists so the `runtime` bench experiment can quantify
-//! exactly what pool reuse saves, against the same contract.
-//!
 //! # Observability
 //!
 //! Every [`run_trials`] call reports to the `vortex_obs` global registry:
@@ -43,7 +38,6 @@
 //! only — no RNG, no control flow — so they cannot perturb the
 //! bit-exactness contract above.
 
-use std::sync::mpsc;
 use std::time::Instant;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 
@@ -158,66 +152,6 @@ where
     })
 }
 
-/// The pre-pool implementation: per-call `std::thread::scope` spawn with
-/// static striping and an mpsc result channel. Same contract and
-/// bit-identical output to [`run_trials`]; kept so the `runtime` bench
-/// experiment can measure what persistent-pool reuse saves. Not used by
-/// any pipeline.
-pub fn run_trials_unpooled<T, F>(
-    parent: &mut Xoshiro256PlusPlus,
-    trials: usize,
-    parallelism: Parallelism,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut Xoshiro256PlusPlus) -> T + Sync,
-{
-    let children: Vec<Xoshiro256PlusPlus> = (0..trials).map(|_| parent.split()).collect();
-    let workers = parallelism.resolve().min(trials.max(1));
-    if workers <= 1 {
-        return children
-            .into_iter()
-            .enumerate()
-            .map(|(k, mut child)| f(k, &mut child))
-            .collect();
-    }
-    // Stripe trials over freshly spawned workers: worker `w` owns trials
-    // w, w + workers, w + 2·workers, …
-    let mut shards: Vec<Vec<(usize, Xoshiro256PlusPlus)>> = (0..workers)
-        .map(|_| Vec::with_capacity(trials / workers + 1))
-        .collect();
-    for (k, child) in children.into_iter().enumerate() {
-        shards[k % workers].push((k, child));
-    }
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(trials);
-    slots.resize_with(trials, || None);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for shard in shards {
-            let tx = tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                for (k, mut child) in shard {
-                    // A send only fails if the receiver is gone, which
-                    // means the parent scope is already unwinding.
-                    if tx.send((k, f(k, &mut child))).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (k, value) in rx {
-            slots[k] = Some(value);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every trial index sends exactly one result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,14 +172,6 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "thread count {threads} changed the output");
         }
-    }
-
-    #[test]
-    fn unpooled_matches_pooled_bit_for_bit() {
-        let f = |k: usize, rng: &mut Xoshiro256PlusPlus| (k as u64) ^ rng.next_u64();
-        let pooled = run_trials(&mut parent(11), 31, Parallelism::Fixed(4), f);
-        let unpooled = run_trials_unpooled(&mut parent(11), 31, Parallelism::Fixed(4), f);
-        assert_eq!(pooled, unpooled);
     }
 
     #[test]

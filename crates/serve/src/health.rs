@@ -34,7 +34,7 @@ use crate::{Result, ServeError};
 /// The recalibration hook: produces a replacement model when canary
 /// accuracy breaches the floor. Blanket-implemented for closures, so the
 /// usual spelling is
-/// `move || compiler.compile(&weights).map(Arc::new).map_err(Into::into)`.
+/// `move || compiler.request(&w, &m).seed(s).compile().map(Arc::new).map_err(Into::into)`.
 pub trait Recompile: Send + Sync {
     /// Builds a fresh replacement model.
     ///

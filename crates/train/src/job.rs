@@ -8,9 +8,9 @@
 //! * **Priority classes.** Inference outranks training. Between
 //!   mini-epochs the job consults the serving [`Scheduler`]'s
 //!   [`queue_depth`](Scheduler::queue_depth): at or above
-//!   [`JobConfig::high_water`] it parks until the backlog drains below
-//!   [`JobConfig::low_water`] (classic hysteresis, mirroring the
-//!   scheduler's own admission watermarks). Training never preempts a
+//!   [`JobConfig::high_water`] it parks until the backlog drains to
+//!   [`JobConfig::low_water`] (the same [`Hysteresis`] band that drives
+//!   the scheduler's degradation ladder). Training never preempts a
 //!   pending prediction — it simply declines to enqueue its next unit.
 //! * **Checkpoint/resume.** Every [`JobConfig::checkpoint_every`]
 //!   epochs the stepper's full state is frozen into a
@@ -51,6 +51,7 @@ use vortex_serve::chaos::ChaosPlan;
 use vortex_serve::health::{HealthConfig, HealthMonitor, ProbeOutcome};
 use vortex_serve::lifetime::{PolicyObservation, RecalibrationPolicy};
 use vortex_serve::scheduler::Scheduler;
+use vortex_serve::{Hysteresis, Transition};
 
 use crate::stepper::{DeltaStepper, TrainerConfig};
 use crate::{Result, TrainError};
@@ -79,7 +80,7 @@ pub struct JobConfig {
     pub restart_cap: Duration,
     /// Scheduler queue depth at which training yields to inference.
     pub high_water: usize,
-    /// Queue depth the backlog must drain below before training resumes.
+    /// Queue depth the backlog must drain to before training resumes.
     pub low_water: usize,
     /// Poll interval while parked behind the high-water mark.
     pub yield_poll: Duration,
@@ -394,18 +395,20 @@ impl TrainingJob {
         rx.recv().map_err(|_| ())?
     }
 
-    /// Parks the job while the serving backlog is above the high-water
-    /// mark; resumes once it drains below the low-water mark.
+    /// Parks the job once the serving backlog reaches the high-water
+    /// mark; resumes once it drains to the low-water mark.
     fn yield_for_inference(&self, yields: &mut u64) {
         let Some(scheduler) = &self.scheduler else {
             return;
         };
-        if scheduler.queue_depth() < self.config.high_water.max(1) {
+        let mut band = Hysteresis::new(self.config.high_water.max(1), self.config.low_water)
+            .expect("validated config: low_water <= high_water, and max(1) rules out 0");
+        if band.observe(scheduler.queue_depth()) != Transition::Entered {
             return;
         }
         *yields += 1;
         vortex_obs::counter!("train.yields").incr();
-        while scheduler.queue_depth() > self.config.low_water {
+        while band.observe(scheduler.queue_depth()) != Transition::Exited {
             std::thread::sleep(self.config.yield_poll);
         }
     }

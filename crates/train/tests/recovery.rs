@@ -144,7 +144,8 @@ fn training_faults_are_invisible_to_serving() {
     let primary = Arc::new(
         env.compiler()
             .with_calibration(&split.test.mean_input())
-            .compile(&weights, &mapping, &mut rng)
+            .request(&weights, &mapping)
+            .compile_with(&mut rng)
             .unwrap(),
     );
 
@@ -227,7 +228,8 @@ fn converged_job_promotes_through_the_health_monitor() {
     let fresh = env
         .compiler()
         .with_calibration(&split.test.mean_input())
-        .compile(&weights, &mapping, &mut rng)
+        .request(&weights, &mapping)
+        .compile_with(&mut rng)
         .unwrap()
         .with_canary_inputs(canaries.clone())
         .unwrap();

@@ -55,7 +55,9 @@ fn main() -> Result<(), Error> {
         let canaries = canaries.clone();
         move |seed: u64| -> Result<CompiledModel, Error> {
             Ok(compiler
-                .compile_seeded(&weights, &mapping, seed)?
+                .request(&weights, &mapping)
+                .seed(seed)
+                .compile()?
                 .with_canary_inputs(canaries.clone())?)
         }
     };

@@ -80,7 +80,8 @@ fn main() -> Result<(), Error> {
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(99);
             env.compiler()
                 .with_calibration(&test.mean_input())
-                .compile(&weights, &mapping, &mut rng)
+                .request(&weights, &mapping)
+                .compile_with(&mut rng)
                 .expect("compile")
                 .with_canary_inputs(canaries.clone())
                 .expect("canary freeze")

@@ -37,10 +37,12 @@ fn main() -> Result<(), Error> {
     //    weights, calibrate the IR-drop read path, and freeze the result.
     let mut env = HardwareEnv::with_sigma(0.4)?.with_ir_drop(5.0);
     env.compensate_program_irdrop = true;
+    let mapping = RowMapping::identity(weights.rows());
     let model = env
         .compiler()
         .with_calibration(&split.test.mean_input())
-        .compile(&weights, &RowMapping::identity(weights.rows()), &mut rng)?;
+        .request(&weights, &mapping)
+        .compile_with(&mut rng)?;
     println!(
         "compiled: {}x{} crossbar pair, {:?} read path",
         model.rows(),

@@ -47,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fresh = env
         .compiler()
         .with_calibration(&split.test.mean_input())
-        .compile(&weights, &mapping, &mut rng)?
+        .request(&weights, &mapping)
+        .compile_with(&mut rng)?
         .with_canary_inputs(canaries.clone())?;
     let serve_plan = ChaosPlan::generate(
         &ChaosConfig::new(2024, fresh.rows(), fresh.classes())
