@@ -480,6 +480,9 @@ fn metrics_flag_writes_a_snapshot_covering_every_instrumented_layer() {
         "executor.run_seconds",
         "pipeline.evaluate_seconds",
         "tuning.tune_seconds",
+        "tuning.scan_seconds",
+        "tuning.validate_seconds",
+        "tuning.final_seconds",
         "runtime.batch_seconds",
     ] {
         let needle = format!("\"{name}\":{{\"count\":");

@@ -14,6 +14,7 @@ use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
 use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::metrics::accuracy_of_weights;
+use vortex_nn::pool::WorkerPool;
 use vortex_nn::split::tuning_split;
 
 use crate::vat::{inject_variation, VatTrainer};
@@ -77,9 +78,12 @@ pub struct SelfTuner {
     pub mc_draws: usize,
     /// RNG seed for the split and the injections.
     pub seed: u64,
-    /// Worker pool for the γ scan. Every setting produces identical
-    /// results (each candidate γ evaluates on its own pre-split stream);
-    /// only wall-clock time changes.
+    /// Worker count for the scan. Training fans out one task per
+    /// (γ, class) column, and the final pass one per class; validation
+    /// fans out one trial per γ. Every setting produces identical results
+    /// (column training draws no randomness, and each candidate γ
+    /// validates on its own pre-split stream); only wall-clock time
+    /// changes.
     pub parallelism: Parallelism,
 }
 
@@ -148,6 +152,11 @@ impl SelfTuner {
     /// `base` provides every VAT parameter except γ (which the scan
     /// overrides). The injected variation uses `base.sigma`.
     ///
+    /// The whole call records a `tuning.tune_seconds` span, split into
+    /// `tuning.scan_seconds` (training every candidate),
+    /// `tuning.validate_seconds` (the Monte-Carlo validation) and
+    /// `tuning.final_seconds` (the all-samples pass).
+    ///
     /// # Errors
     ///
     /// Propagates configuration, split and training errors.
@@ -160,35 +169,38 @@ impl SelfTuner {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(self.seed);
         let split = tuning_split(train, self.validation_fraction, &mut rng)?;
 
-        // One executor trial per candidate γ: each candidate trains on the
-        // large group and measures with-variation validation accuracy over
-        // its own pre-split injection streams, so the scan fans out over
-        // the worker pool without changing any reported number.
-        let points = run_trials(
-            &mut rng,
-            self.gamma_grid.len(),
-            self.parallelism,
-            |k, gamma_rng| -> Result<GammaPoint> {
-                let gamma = self.gamma_grid[k];
-                let trainer = base.with_gamma(gamma);
-                let w = trainer.train(&split.train)?;
-                let training_rate = accuracy_of_weights(&w, &split.train);
-                let clean = accuracy_of_weights(&w, &split.test);
-                let mut acc = 0.0;
-                for _ in 0..self.mc_draws {
-                    let mut draw_rng = gamma_rng.split();
-                    let wv = inject_variation(&w, base.sigma, &mut draw_rng);
-                    acc += accuracy_of_weights(&wv, &split.test);
-                }
-                Ok(GammaPoint {
-                    gamma,
-                    training_rate,
-                    validation_with_variation: acc / self.mc_draws as f64,
-                    validation_without_variation: clean,
-                })
-            },
-        );
-        let curve = points.into_iter().collect::<Result<Vec<GammaPoint>>>()?;
+        let scan = {
+            let _span = vortex_obs::span!("tuning.scan_seconds");
+            self.train_columns(base, &self.gamma_grid, &split.train)?
+        };
+        // One executor trial per candidate γ: each measures with-variation
+        // validation accuracy over its own pre-split injection streams, so
+        // validation fans out without changing any reported number.
+        let curve = {
+            let _span = vortex_obs::span!("tuning.validate_seconds");
+            run_trials(
+                &mut rng,
+                self.gamma_grid.len(),
+                self.parallelism,
+                |k, gamma_rng| {
+                    let w = &scan[k];
+                    let training_rate = accuracy_of_weights(w, &split.train);
+                    let clean = accuracy_of_weights(w, &split.test);
+                    let mut acc = 0.0;
+                    for _ in 0..self.mc_draws {
+                        let mut draw_rng = gamma_rng.split();
+                        let wv = inject_variation(w, base.sigma, &mut draw_rng);
+                        acc += accuracy_of_weights(&wv, &split.test);
+                    }
+                    GammaPoint {
+                        gamma: self.gamma_grid[k],
+                        training_rate,
+                        validation_with_variation: acc / self.mc_draws as f64,
+                        validation_without_variation: clean,
+                    }
+                },
+            )
+        };
         // Winner selection: the paper's Fig. 5 scan takes the γ with the
         // best with-variation validation accuracy. That estimate averages
         // `mc_draws` accuracies over `split.test`, so it carries a
@@ -213,13 +225,46 @@ impl SelfTuner {
             .map_or(self.gamma_grid[0], |p| p.gamma);
         vortex_obs::gauge!("tuning.best_gamma").set(best_gamma);
         // Final pass on every training sample with the winning γ.
-        let weights = base.with_gamma(best_gamma).train(train)?;
+        let weights = {
+            let _span = vortex_obs::span!("tuning.final_seconds");
+            self.train_columns(base, &[best_gamma], train)?.remove(0)
+        };
         Ok(TuningOutcome {
             best_gamma,
             curve,
             weights,
             selection_margin,
         })
+    }
+
+    /// Trains `base` at every γ in `gammas` on `data`, returning one
+    /// `features × classes` weight matrix per γ — each equal to
+    /// `base.with_gamma(γ).train(data)`. The (γ, class) columns are
+    /// independent and draw no randomness, so they fan out one task each
+    /// on the global pool at any width without changing a bit.
+    fn train_columns(
+        &self,
+        base: &VatTrainer,
+        gammas: &[f64],
+        data: &Dataset,
+    ) -> Result<Vec<Matrix>> {
+        let classes = data.num_classes();
+        let mut columns = WorkerPool::global()
+            .run_indexed(gammas.len() * classes, self.parallelism.resolve(), |t| {
+                base.with_gamma(gammas[t / classes])
+                    .train_column(data, (t % classes) as u8)
+            })
+            .into_iter();
+        gammas
+            .iter()
+            .map(|_| {
+                let mut w = Matrix::zeros(data.num_features(), classes);
+                for (class, column) in columns.by_ref().take(classes).enumerate() {
+                    w.set_col(class, &column?);
+                }
+                Ok(w)
+            })
+            .collect()
     }
 }
 
@@ -327,6 +372,96 @@ mod tests {
                 "curve changed at {threads} threads"
             );
             assert_eq!(serial.weights, par.weights);
+        }
+    }
+
+    /// `tune` as it was before training moved out of the validation
+    /// trials: each `run_trials` trial trains its γ, then validates, and
+    /// the final pass is one serial `VatTrainer::train`.
+    fn reference_tune(tuner: &SelfTuner, base: &VatTrainer, train: &Dataset) -> TuningOutcome {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(tuner.seed);
+        let split = tuning_split(train, tuner.validation_fraction, &mut rng).unwrap();
+        let curve = run_trials(
+            &mut rng,
+            tuner.gamma_grid.len(),
+            tuner.parallelism,
+            |k, gamma_rng| {
+                let gamma = tuner.gamma_grid[k];
+                let w = base.with_gamma(gamma).train(&split.train).unwrap();
+                let training_rate = accuracy_of_weights(&w, &split.train);
+                let clean = accuracy_of_weights(&w, &split.test);
+                let mut acc = 0.0;
+                for _ in 0..tuner.mc_draws {
+                    let mut draw_rng = gamma_rng.split();
+                    let wv = inject_variation(&w, base.sigma, &mut draw_rng);
+                    acc += accuracy_of_weights(&wv, &split.test);
+                }
+                GammaPoint {
+                    gamma,
+                    training_rate,
+                    validation_with_variation: acc / tuner.mc_draws as f64,
+                    validation_without_variation: clean,
+                }
+            },
+        );
+        let mut top = f64::MIN;
+        for p in &curve {
+            if p.validation_with_variation > top {
+                top = p.validation_with_variation;
+            }
+        }
+        let n_eff = (split.test.len() * tuner.mc_draws) as f64;
+        let selection_margin = (top.clamp(0.0, 1.0) * (1.0 - top.clamp(0.0, 1.0)) / n_eff).sqrt();
+        let best_gamma = curve
+            .iter()
+            .find(|p| p.validation_with_variation >= top - selection_margin)
+            .map_or(tuner.gamma_grid[0], |p| p.gamma);
+        let weights = base.with_gamma(best_gamma).train(train).unwrap();
+        TuningOutcome {
+            best_gamma,
+            curve,
+            weights,
+            selection_margin,
+        }
+    }
+
+    fn outcome_bits(o: &TuningOutcome) -> Vec<u64> {
+        let mut bits = vec![o.best_gamma.to_bits(), o.selection_margin.to_bits()];
+        for p in &o.curve {
+            bits.extend(
+                [
+                    p.gamma,
+                    p.training_rate,
+                    p.validation_with_variation,
+                    p.validation_without_variation,
+                ]
+                .map(f64::to_bits),
+            );
+        }
+        bits.extend(o.weights.as_slice().iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn tune_is_bit_identical_to_training_inside_each_trial() {
+        let d = data();
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(8),
+        ] {
+            let tuner = SelfTuner {
+                gamma_grid: vec![0.0, 0.3, 0.7, 1.0],
+                parallelism,
+                ..SelfTuner::coarse()
+            };
+            let expected = reference_tune(&tuner, &base(0.6), &d);
+            let got = tuner.tune(&base(0.6), &d).unwrap();
+            assert_eq!(
+                outcome_bits(&got),
+                outcome_bits(&expected),
+                "{parallelism:?}"
+            );
         }
     }
 

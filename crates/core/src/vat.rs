@@ -8,15 +8,16 @@
 //! A scale knob `γ ∈ [0, 1]` interpolates between conventional GDT
 //! (`γ = 0`) and the full estimated penalty (`γ = 1`) (Eq. (10)).
 //!
-//! The optimization is solved with the same epoch-shuffled subgradient
-//! descent as [`vortex_nn::gdt`]; the extra penalty contributes the
-//! subgradient `γ·ρ·(x ∘ x ∘ w)/‖x ∘ w‖₂` whenever the padded margin is
-//! violated.
+//! The optimization runs the epoch-shuffled subgradient descent of
+//! [`vortex_nn::gdt`] ([`GdtTrainer::train_column_penalized`]); the extra
+//! penalty contributes the subgradient `γ·ρ·(x ∘ x ∘ w)/‖x ∘ w‖₂`
+//! whenever the padded margin is violated.
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
-use vortex_linalg::{vector, Matrix};
+use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
+use vortex_nn::gdt::GdtTrainer;
 
 use crate::rho::RhoConfig;
 use crate::{CoreError, Result};
@@ -138,6 +139,18 @@ impl VatTrainer {
                 requirement: "must be finite and positive",
             });
         }
+        if !(self.alpha0.is_finite() && self.alpha0 > 0.0) {
+            return Err(CoreError::InvalidParameter {
+                name: "alpha0",
+                requirement: "must be finite and positive",
+            });
+        }
+        if !self.alpha1.is_finite() {
+            return Err(CoreError::InvalidParameter {
+                name: "alpha1",
+                requirement: "must be finite",
+            });
+        }
         Ok(())
     }
 
@@ -159,6 +172,10 @@ impl VatTrainer {
 
     /// Trains all columns, returning the `features × classes` weight
     /// matrix.
+    ///
+    /// Each call records one `pipeline.vat_train_seconds` span. The
+    /// self-tuner does not call this: it fans [`Self::train_column`] out
+    /// per column, timed by its `tuning.*` spans instead.
     ///
     /// # Errors
     ///
@@ -183,7 +200,9 @@ impl VatTrainer {
         Ok(w)
     }
 
-    /// Trains one column with "1 vs. all" targets.
+    /// Trains one column with "1 vs. all" targets: the hinge loop of
+    /// [`GdtTrainer::train_column_penalized`] with this trainer's α₀ and
+    /// [`Self::penalty_coefficient`].
     ///
     /// # Errors
     ///
@@ -196,42 +215,15 @@ impl VatTrainer {
                 requirement: "must be non-empty",
             });
         }
-        let n = data.num_features();
-        let coeff = self.penalty_coefficient(n)?;
-        let mut w = vec![0.0_f64; n];
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(self.seed ^ ((class as u64) << 32));
-        let mut step_count = 0usize;
-
-        for _epoch in 0..self.epochs {
-            rng.shuffle(&mut order);
-            for &i in &order {
-                step_count += 1;
-                let alpha = self.learning_rate / (1.0 + step_count as f64 * self.l2.max(1e-6));
-                let x = data.image(i);
-                let target = if data.label(i) == class { 1.0 } else { -1.0 };
-                let score = vector::dot(x, &w);
-                // Penalty term: γ·ρ·‖x ∘ w‖₂ (Eq. (10) with t = |V|).
-                let xw = vector::hadamard(x, &w);
-                let penalty_norm = vector::norm2(&xw);
-                let violated = self.alpha0 * target * score - coeff * penalty_norm < self.margin;
-                if self.l2 > 0.0 {
-                    vector::scale(1.0 - alpha * self.l2, &mut w);
-                }
-                if violated {
-                    // Hinge part: +α·α₀·ŷ·x.
-                    vector::axpy(alpha * self.alpha0 * target, x, &mut w);
-                    // Penalty part: −α·coeff·(x∘x∘w)/‖x∘w‖₂.
-                    if coeff > 0.0 && penalty_norm > 1e-12 {
-                        let scale = alpha * coeff / penalty_norm;
-                        for ((wq, &xq), &xwq) in w.iter_mut().zip(x).zip(&xw) {
-                            *wq -= scale * xq * xwq;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(w)
+        let coeff = self.penalty_coefficient(data.num_features())?;
+        let gdt = GdtTrainer {
+            epochs: self.epochs,
+            learning_rate: self.learning_rate,
+            l2: self.l2,
+            margin: self.margin,
+            seed: self.seed,
+        };
+        Ok(gdt.train_column_penalized(data, class, self.alpha0, coeff)?)
     }
 }
 
@@ -290,6 +282,20 @@ mod tests {
         t = fast(0.2, 0.6);
         t.epochs = 0;
         assert!(t.train(&d).is_err());
+        // A NaN α₀ fails every margin test, which would silently train
+        // all-zero weights.
+        for alpha0 in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            t = fast(0.2, 0.6);
+            t.alpha0 = alpha0;
+            assert!(t.validate().is_err(), "alpha0 = {alpha0}");
+            assert!(t.train_column(&d, 0).is_err(), "alpha0 = {alpha0}");
+        }
+        for alpha1 in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            t = fast(0.2, 0.6);
+            t.alpha1 = alpha1;
+            assert!(t.validate().is_err(), "alpha1 = {alpha1}");
+            assert!(t.train(&d).is_err(), "alpha1 = {alpha1}");
+        }
     }
 
     #[test]
