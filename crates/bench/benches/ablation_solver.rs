@@ -1,4 +1,5 @@
-//! Ablation bench: iterative vs direct solves of nodal-style systems.
+//! Ablation bench: point vs wire-line preconditioned CG against dense LU
+//! on nodal-style systems, then the mesh solve behind every nodal read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -9,8 +10,12 @@ use vortex_xbar::circuit::NodalAnalysis;
 fn bench(c: &mut Criterion) {
     let report = ablation::solver_ablation(400, 1);
     println!(
-        "solver agreement (n=400): |cg - dense| = {:.2e}, |sor - dense| = {:.2e}, cg iters = {}",
-        report.cg_vs_dense, report.sor_vs_dense, report.cg_iterations
+        "solver ablation (n=400): |jacobi - dense| = {:.2e} in {} iterations, \
+         |line - dense| = {:.2e} in {} iterations",
+        report.jacobi_vs_dense,
+        report.jacobi_iterations,
+        report.line_vs_dense,
+        report.line_iterations
     );
     let mut group = c.benchmark_group("nodal_compute_solve");
     for &rows in &[32usize, 128, 392] {

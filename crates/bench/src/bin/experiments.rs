@@ -12,7 +12,8 @@
 //! `chaos`, `fleet`, `lifetime`, `encoding` and `training` experiments
 //! always write their `BENCH_<name>.json` (their gated numbers are the
 //! point of running them). With `--metrics <path>`, the
-//! `vortex_obs` registry snapshot — span timings, counters and gauges
+//! `vortex_obs` registry snapshot — span timings, counters, gauges and
+//! the CG iteration count of every nodal solve (`xbar.cg_iterations`),
 //! collected from every hot path the run touched — is written to `<path>`
 //! after all experiments finish, so each benchmark run carries its own
 //! profile.
@@ -42,6 +43,11 @@ fn usage_exit() -> ! {
 }
 
 fn main() {
+    // The mesh solver records no metrics itself; forward the CG iteration
+    // count of every nodal solve into the registry `--metrics` exports.
+    vortex_xbar::circuit::observe_solve_iterations(|iterations| {
+        vortex_obs::histogram!("xbar.cg_iterations").record(iterations as f64);
+    });
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // Pull out `--metrics <path>` before flag scanning.
     let mut metrics_path: Option<String> = None;

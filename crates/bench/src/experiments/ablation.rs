@@ -2,7 +2,8 @@
 //!
 //! * how loose is the Chi-square penalty bound of Eq. (7);
 //! * greedy SWV mapping vs cheaper mapping policies;
-//! * iterative (CG/SOR) vs direct (dense LU) nodal solves;
+//! * point (Jacobi) vs wire-line preconditioned CG vs dense LU nodal
+//!   solves;
 //! * self-tuned γ vs a fixed γ across variation corners.
 
 use vortex_core::amp::greedy::{greedy_map, RowMapping};
@@ -102,19 +103,31 @@ pub fn mapping_ablation(m: usize, cols: usize, sigma: f64, seed: u64) -> Mapping
     }
 }
 
-/// Agreement between the three solvers on one nodal-style system.
+/// Nodes per wire of the [`solver_ablation`] system (a 10-column array).
+const ABLATION_WIRE: usize = 10;
+
+/// Point vs wire-line preconditioned CG on one nodal-style system, each
+/// checked against dense LU.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverAblation {
-    /// ∞-norm disagreement between CG and dense LU.
-    pub cg_vs_dense: f64,
-    /// ∞-norm disagreement between SOR and dense LU.
-    pub sor_vs_dense: f64,
-    /// CG iterations used.
-    pub cg_iterations: usize,
+    /// ∞-norm gap between Jacobi-preconditioned CG and dense LU.
+    pub jacobi_vs_dense: f64,
+    /// ∞-norm gap between wire-line preconditioned CG and dense LU.
+    pub line_vs_dense: f64,
+    /// CG iterations with Jacobi preconditioning.
+    pub jacobi_iterations: usize,
+    /// CG iterations with wire-line preconditioning.
+    pub line_iterations: usize,
 }
 
-/// Cross-validates the iterative solvers against dense LU on a mesh-like
-/// SPD system of dimension `n`.
+/// Solves a mesh-like SPD system of dimension `n` with Jacobi and with
+/// wire-line preconditioned CG, and measures both against dense LU.
+///
+/// The unknowns form wires of 10 nodes: consecutive nodes of a wire
+/// couple through a 0.4 S segment, the first node of each wire is driven
+/// through one more, and every node leaks to ground and couples to the
+/// same position on the next wire through device-scale conductances
+/// (1–100 µS).
 ///
 /// # Panics
 ///
@@ -122,36 +135,51 @@ pub struct SolverAblation {
 /// system).
 pub fn solver_ablation(n: usize, seed: u64) -> SolverAblation {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    let mut device = || 10f64.powf(rng.range_f64(-6.0, -4.0));
     let mut t = TripletBuilder::new(n, n);
-    for i in 0..n {
-        let device = 10f64.powf(rng.range_f64(-6.0, -4.0));
-        t.add(i, i, 0.8 + device);
-        if i > 0 {
-            t.add(i, i - 1, -0.4);
-            t.add(i - 1, i, -0.4);
+    let couple = |t: &mut TripletBuilder, u: usize, v: usize, g: f64| {
+        t.add(u, u, g);
+        t.add(v, v, g);
+        t.add(u, v, -g);
+        t.add(v, u, -g);
+    };
+    for k in 0..n {
+        t.add(k, k, device());
+        if k % ABLATION_WIRE == 0 {
+            t.add(k, k, 0.4);
+        } else {
+            couple(&mut t, k - 1, k, 0.4);
+        }
+        if k + ABLATION_WIRE < n {
+            couple(&mut t, k, k + ABLATION_WIRE, device());
         }
     }
     let a = t.build();
     let b: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-    // SOR on long chains converges slowly; give it a realistic budget.
-    let opts = iterative::SolveOptions {
-        max_iterations: 500_000,
-        tolerance: 1e-9,
-        omega: 1.6,
-    };
-    let cg = iterative::conjugate_gradient(&a, &b, None, &opts).expect("cg");
-    let sor = iterative::sor(&a, &b, None, &opts).expect("sor");
+    let wires = (0..n)
+        .step_by(ABLATION_WIRE)
+        .map(|start| iterative::Line {
+            start,
+            stride: 1,
+            len: ABLATION_WIRE.min(n - start),
+        })
+        .collect();
+    let opts = iterative::SolveOptions::with_tolerance(1e-9);
+    let jacobi = iterative::conjugate_gradient(&a, &b, None, &opts).expect("jacobi cg");
+    let lines = iterative::LinePreconditioner::new(&a, wires).expect("wire lines");
+    let line = iterative::preconditioned_cg(&a, &b, None, &lines, &opts).expect("line cg");
     let dense = lu::solve(&a.to_dense(), &b).expect("lu");
-    let diff = |x: &[f64], y: &[f64]| {
+    let gap = |x: &[f64]| {
         x.iter()
-            .zip(y)
+            .zip(&dense)
             .map(|(u, v)| (u - v).abs())
             .fold(0.0_f64, f64::max)
     };
     SolverAblation {
-        cg_vs_dense: diff(&cg.x, &dense),
-        sor_vs_dense: diff(&sor.x, &dense),
-        cg_iterations: cg.iterations,
+        jacobi_vs_dense: gap(&jacobi.x),
+        line_vs_dense: gap(&line.x),
+        jacobi_iterations: jacobi.iterations,
+        line_iterations: line.iterations,
     }
 }
 
@@ -245,9 +273,18 @@ mod tests {
     #[test]
     fn solvers_agree() {
         let r = solver_ablation(80, 3);
-        assert!(r.cg_vs_dense < 1e-6, "cg vs dense {}", r.cg_vs_dense);
-        assert!(r.sor_vs_dense < 1e-5, "sor vs dense {}", r.sor_vs_dense);
-        assert!(r.cg_iterations > 0);
+        assert!(
+            r.jacobi_vs_dense < 1e-6,
+            "jacobi vs dense {}",
+            r.jacobi_vs_dense
+        );
+        assert!(r.line_vs_dense < 1e-6, "line vs dense {}", r.line_vs_dense);
+        assert!(
+            r.line_iterations < r.jacobi_iterations,
+            "line {} vs jacobi {} iterations",
+            r.line_iterations,
+            r.jacobi_iterations
+        );
     }
 
     #[test]

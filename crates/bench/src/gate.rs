@@ -83,13 +83,18 @@ pub const EXACT_KEYS: [&str; 4] = [
 /// `training_p99_inflation_x`: the p99 inference latency with a
 /// *yielding* co-resident trainer, as a multiple of inference running
 /// alone — the priority-class discipline must keep the tail bounded.
-pub const CEILING_KEYS: [&str; 6] = [
+/// `bench/baseline.json` caps `exact_transfer_build_ms`, the time to
+/// compile one chip's Exact transfer matrices, at ~8× its wire-line
+/// preconditioned cost and far below its cost under point (Jacobi)
+/// preconditioning, so a fallback of the mesh solve fails CI.
+pub const CEILING_KEYS: [&str; 7] = [
     "recovered_accuracy_delta_pp",
     "ensemble_accuracy_delta_pp",
     "accuracy_hours_lost_predictive",
     "predictive_minus_periodic_accuracy_hours",
     "encoding_fixed_minus_adaptive_pp",
     "training_p99_inflation_x",
+    "exact_transfer_build_ms",
 ];
 
 /// How a gated key is judged.

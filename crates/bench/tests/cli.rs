@@ -128,7 +128,11 @@ fn runtime_payload_passes_the_checked_in_throughput_gate() {
     )
     .expect("baseline readable");
     let report = vortex_bench::gate::check(&json, &baseline, 0.30).expect("gateable payload");
-    assert_eq!(report.checks.len(), 4, "baseline gates four runtime keys");
+    assert_eq!(
+        report.checks.len(),
+        5,
+        "baseline gates four runtime floors and the Exact compile ceiling"
+    );
     assert!(
         report.pass(),
         "runtime payload failed its own gate:\n{}",
@@ -452,8 +456,10 @@ fn metrics_flag_requires_a_path() {
 #[test]
 fn metrics_flag_writes_a_snapshot_covering_every_instrumented_layer() {
     // fig9 exercises the self-tuner and the OLD/VAT pipeline; runtime
-    // exercises compiled-model batched inference. Between them every
-    // span family the obs layer instruments must show up non-zero.
+    // exercises compiled-model batched inference and compiles its chips'
+    // nodal reads. Between them every span family the obs layer
+    // instruments, and the mesh solver's iteration histogram, must show
+    // up non-zero.
     let dir = std::env::temp_dir().join(format!("vortex-cli-metrics-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -484,6 +490,7 @@ fn metrics_flag_writes_a_snapshot_covering_every_instrumented_layer() {
         "tuning.validate_seconds",
         "tuning.final_seconds",
         "runtime.batch_seconds",
+        "xbar.cg_iterations",
     ] {
         let needle = format!("\"{name}\":{{\"count\":");
         let at = json

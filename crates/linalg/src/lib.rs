@@ -10,8 +10,9 @@
 //!   systems (used to validate the iterative circuit solvers).
 //! * [`sparse`] — compressed-sparse-row matrices assembled from triplets
 //!   (used for the crossbar IR-drop nodal equations).
-//! * [`iterative`] — conjugate-gradient and successive-over-relaxation
-//!   solvers for the sparse, diagonally dominant nodal systems.
+//! * [`iterative`] — preconditioned conjugate gradient for the sparse,
+//!   symmetric positive definite nodal systems, with Jacobi or
+//!   tridiagonal-line preconditioning.
 //! * [`rng`] — a deterministic, seedable xoshiro256++ generator, so every
 //!   Monte-Carlo experiment in the workspace is reproducible.
 //! * [`distributions`] — normal / lognormal / Bernoulli sampling, the

@@ -167,10 +167,22 @@ impl CsrMatrix {
     ///
     /// Panics if `x.len() != cols`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.rows];
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// Matrix–vector product into a caller-owned buffer: `y ← A·x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols` or `y.len() != rows`.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "sparse matvec: length mismatch");
-        (0..self.rows)
-            .map(|i| self.row_iter(i).map(|(c, v)| v * x[c]).sum())
-            .collect()
+        assert_eq!(y.len(), self.rows, "sparse matvec: output length mismatch");
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = self.row_iter(i).map(|(c, v)| v * x[c]).sum();
+        }
     }
 
     /// Residual `‖b − A·x‖∞`.
@@ -198,8 +210,8 @@ impl CsrMatrix {
         m
     }
 
-    /// Checks (weak row-wise) diagonal dominance — a sufficient condition
-    /// for Gauss–Seidel / SOR convergence on our nodal systems.
+    /// Checks (weak row-wise) diagonal dominance, which the nodal
+    /// conductance matrices satisfy.
     pub fn is_diagonally_dominant(&self) -> bool {
         (0..self.rows).all(|i| {
             let mut diag = 0.0;

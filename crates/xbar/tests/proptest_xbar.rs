@@ -245,7 +245,6 @@ fn solver(rows: usize, cols: usize, r_wire: f64, tolerance: f64) -> NodalAnalysi
         .with_options(SolveOptions {
             max_iterations: 200_000,
             tolerance,
-            omega: 1.6,
         })
 }
 
