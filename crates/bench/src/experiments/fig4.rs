@@ -93,14 +93,18 @@ pub fn run_with_sigma(scale: &Scale, sigma: f64) -> Fig4Result {
     let env = HardwareEnv::with_sigma(sigma).expect("valid sigma");
     let mut rng = scale.rng(4);
     let mapping = RowMapping::identity(train.num_features());
+    let gammas = scale.gamma_grid();
+    let grid = scale
+        .vat()
+        .with_sigma(sigma)
+        .train_grid(&gammas, &train, Parallelism::Auto)
+        .expect("valid trainer");
     let mut points = Vec::new();
-    for gamma in scale.gamma_grid() {
-        let trainer = scale.vat().with_sigma(sigma).with_gamma(gamma);
-        let w = trainer.train(&train).expect("valid trainer");
-        let training_rate = accuracy_of_weights(&w, &train);
-        let clean = accuracy_of_weights(&w, &test);
+    for (gamma, w) in gammas.into_iter().zip(&grid) {
+        let training_rate = accuracy_of_weights(w, &train);
+        let clean = accuracy_of_weights(w, &test);
         let eval = evaluate_hardware_with(
-            &w,
+            w,
             &mapping,
             &env,
             &test,

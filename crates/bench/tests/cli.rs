@@ -458,8 +458,8 @@ fn metrics_flag_writes_a_snapshot_covering_every_instrumented_layer() {
     // fig9 exercises the self-tuner and the OLD/VAT pipeline; runtime
     // exercises compiled-model batched inference and compiles its chips'
     // nodal reads. Between them every span family the obs layer
-    // instruments, and the mesh solver's iteration histogram, must show
-    // up non-zero.
+    // instruments, the mesh solver's iteration histogram and the
+    // hinge-SGD kernel's step counters must show up non-zero.
     let dir = std::env::temp_dir().join(format!("vortex-cli-metrics-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -503,6 +503,21 @@ fn metrics_flag_writes_a_snapshot_covering_every_instrumented_layer() {
             .parse()
             .expect("count parses");
         assert!(count > 0, "{name} recorded no spans");
+    }
+    // The hinge-SGD kernel's step counters: together they give the share
+    // of steps that ran the update pass.
+    for name in ["gdt.steps", "gdt.update_steps"] {
+        let needle = format!("\"{name}\":");
+        let at = json
+            .find(&needle)
+            .unwrap_or_else(|| panic!("{name} missing from snapshot"));
+        let count: u64 = json[at + needle.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect::<String>()
+            .parse()
+            .expect("counter parses");
+        assert!(count > 0, "{name} counted nothing");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

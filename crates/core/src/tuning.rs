@@ -14,7 +14,6 @@ use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
 use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::metrics::accuracy_of_weights;
-use vortex_nn::pool::WorkerPool;
 use vortex_nn::split::tuning_split;
 
 use crate::vat::{inject_variation, VatTrainer};
@@ -78,12 +77,12 @@ pub struct SelfTuner {
     pub mc_draws: usize,
     /// RNG seed for the split and the injections.
     pub seed: u64,
-    /// Worker count for the scan. Training fans out one task per
-    /// (γ, class) column, and the final pass one per class; validation
-    /// fans out one trial per γ. Every setting produces identical results
-    /// (column training draws no randomness, and each candidate γ
-    /// validates on its own pre-split stream); only wall-clock time
-    /// changes.
+    /// Worker count for the scan. Training fans out one task per class
+    /// and block of up to four γ lanes ([`VatTrainer::train_grid`]), and
+    /// the final pass one one-lane task per class; validation fans out
+    /// one trial per γ. Every setting produces identical results (column
+    /// training draws no randomness, and each candidate γ validates on
+    /// its own pre-split stream); only wall-clock time changes.
     pub parallelism: Parallelism,
 }
 
@@ -171,7 +170,7 @@ impl SelfTuner {
 
         let scan = {
             let _span = vortex_obs::span!("tuning.scan_seconds");
-            self.train_columns(base, &self.gamma_grid, &split.train)?
+            base.train_grid(&self.gamma_grid, &split.train, self.parallelism)?
         };
         // One executor trial per candidate γ: each measures with-variation
         // validation accuracy over its own pre-split injection streams, so
@@ -227,7 +226,8 @@ impl SelfTuner {
         // Final pass on every training sample with the winning γ.
         let weights = {
             let _span = vortex_obs::span!("tuning.final_seconds");
-            self.train_columns(base, &[best_gamma], train)?.remove(0)
+            base.train_grid(&[best_gamma], train, self.parallelism)?
+                .remove(0)
         };
         Ok(TuningOutcome {
             best_gamma,
@@ -235,36 +235,6 @@ impl SelfTuner {
             weights,
             selection_margin,
         })
-    }
-
-    /// Trains `base` at every γ in `gammas` on `data`, returning one
-    /// `features × classes` weight matrix per γ — each equal to
-    /// `base.with_gamma(γ).train(data)`. The (γ, class) columns are
-    /// independent and draw no randomness, so they fan out one task each
-    /// on the global pool at any width without changing a bit.
-    fn train_columns(
-        &self,
-        base: &VatTrainer,
-        gammas: &[f64],
-        data: &Dataset,
-    ) -> Result<Vec<Matrix>> {
-        let classes = data.num_classes();
-        let mut columns = WorkerPool::global()
-            .run_indexed(gammas.len() * classes, self.parallelism.resolve(), |t| {
-                base.with_gamma(gammas[t / classes])
-                    .train_column(data, (t % classes) as u8)
-            })
-            .into_iter();
-        gammas
-            .iter()
-            .map(|_| {
-                let mut w = Matrix::zeros(data.num_features(), classes);
-                for (class, column) in columns.by_ref().take(classes).enumerate() {
-                    w.set_col(class, &column?);
-                }
-                Ok(w)
-            })
-            .collect()
     }
 }
 

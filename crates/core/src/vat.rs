@@ -17,7 +17,9 @@ use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
+use vortex_nn::executor::Parallelism;
 use vortex_nn::gdt::GdtTrainer;
+use vortex_nn::pool::WorkerPool;
 
 use crate::rho::RhoConfig;
 use crate::{CoreError, Result};
@@ -171,11 +173,11 @@ impl VatTrainer {
     }
 
     /// Trains all columns, returning the `features × classes` weight
-    /// matrix.
+    /// matrix: [`Self::train_grid`] at this trainer's γ alone, serially.
     ///
     /// Each call records one `pipeline.vat_train_seconds` span. The
-    /// self-tuner does not call this: it fans [`Self::train_column`] out
-    /// per column, timed by its `tuning.*` spans instead.
+    /// self-tuner does not call this: it trains its whole grid in one
+    /// [`Self::train_grid`] call, timed by its `tuning.*` spans instead.
     ///
     /// # Errors
     ///
@@ -183,6 +185,32 @@ impl VatTrainer {
     /// or an empty dataset.
     pub fn train(&self, data: &Dataset) -> Result<Matrix> {
         let _span = vortex_obs::span!("pipeline.vat_train_seconds");
+        Ok(self
+            .train_grid(&[self.gamma], data, Parallelism::Serial)?
+            .remove(0))
+    }
+
+    /// Trains this trainer at every γ in `gammas` on `data`, returning
+    /// one `features × classes` weight matrix per γ, each bit-identical
+    /// to `self.with_gamma(γ).train(data)`.
+    ///
+    /// Each class trains its γ candidates in lockstep, in blocks of up to
+    /// four lanes of [`GdtTrainer::train_columns_penalized`]; a single γ
+    /// takes one lane. A short last block is padded with coefficient-0
+    /// lanes whose output is dropped. The (class, block) tasks are
+    /// independent and draw no randomness, so they fan out one task each
+    /// on the global pool, up to `parallelism` wide, without changing a
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::train`], for `self` at every γ.
+    pub fn train_grid(
+        &self,
+        gammas: &[f64],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> Result<Vec<Matrix>> {
         self.validate()?;
         if data.is_empty() {
             return Err(CoreError::InvalidParameter {
@@ -190,14 +218,55 @@ impl VatTrainer {
                 requirement: "must be non-empty",
             });
         }
-        let n = data.num_features();
-        let m = data.num_classes();
-        let mut w = Matrix::zeros(n, m);
-        for class in 0..m {
-            let col = self.train_column(data, class as u8)?;
-            w.set_col(class, &col);
+        let coeffs = gammas
+            .iter()
+            .map(|&gamma| {
+                let trainer = self.with_gamma(gamma);
+                trainer.validate()?;
+                trainer.penalty_coefficient(data.num_features())
+            })
+            .collect::<Result<Vec<f64>>>()?;
+        if coeffs.len() == 1 {
+            self.train_lanes::<1>(&coeffs, data, parallelism)
+        } else {
+            self.train_lanes::<4>(&coeffs, data, parallelism)
         }
-        Ok(w)
+    }
+
+    /// [`Self::train_grid`] with the penalty coefficients already formed,
+    /// `L` lanes per block.
+    fn train_lanes<const L: usize>(
+        &self,
+        coeffs: &[f64],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> Result<Vec<Matrix>> {
+        let classes = data.num_classes();
+        let blocks = coeffs.len().div_ceil(L);
+        let gdt = self.gdt();
+        let task = |t: usize| {
+            let mut block = [0.0; L];
+            for (lane, &coeff) in block.iter_mut().zip(&coeffs[t % blocks * L..]) {
+                *lane = coeff;
+            }
+            gdt.train_columns_penalized(data, (t / blocks) as u8, self.alpha0, block)
+        };
+        // A serial call leaves the global pool unspawned: `train` runs in
+        // processes that never fan out.
+        let lanes: Vec<_> = match parallelism.resolve() {
+            1 => (0..classes * blocks).map(task).collect(),
+            width => WorkerPool::global().run_indexed(classes * blocks, width, task),
+        };
+        let mut grid = vec![Matrix::zeros(data.num_features(), classes); coeffs.len()];
+        for (t, lanes) in lanes.into_iter().enumerate() {
+            let (class, block) = (t / blocks, t % blocks);
+            for (q, lane) in lanes?.iter().enumerate() {
+                for (w, &v) in grid[block * L..].iter_mut().zip(lane) {
+                    w.row_mut(q)[class] = v;
+                }
+            }
+        }
+        Ok(grid)
     }
 
     /// Trains one column with "1 vs. all" targets: the hinge loop of
@@ -216,14 +285,20 @@ impl VatTrainer {
             });
         }
         let coeff = self.penalty_coefficient(data.num_features())?;
-        let gdt = GdtTrainer {
+        Ok(self
+            .gdt()
+            .train_column_penalized(data, class, self.alpha0, coeff)?)
+    }
+
+    /// The hinge-SGD settings this trainer shares with GDT.
+    fn gdt(&self) -> GdtTrainer {
+        GdtTrainer {
             epochs: self.epochs,
             learning_rate: self.learning_rate,
             l2: self.l2,
             margin: self.margin,
             seed: self.seed,
-        };
-        Ok(gdt.train_column_penalized(data, class, self.alpha0, coeff)?)
+        }
     }
 }
 
@@ -303,6 +378,38 @@ mod tests {
         let d = data();
         let t = fast(0.3, 0.6);
         assert_eq!(t.train(&d).unwrap(), t.train(&d).unwrap());
+    }
+
+    #[test]
+    fn grid_training_is_bit_identical_to_training_each_gamma() {
+        let d = data();
+        let t = fast(0.0, 0.7);
+        let bits = |w: &Matrix| w.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // One lane, blocks of four padded by two and by one lane, and a
+        // full block followed by a padded one.
+        for gammas in [
+            vec![0.4],
+            vec![0.0, 1.0],
+            vec![0.9, 0.0, 0.45],
+            vec![0.0, 0.2, 0.4, 0.6, 0.8],
+        ] {
+            for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
+                let grid = t.train_grid(&gammas, &d, parallelism).unwrap();
+                assert_eq!(grid.len(), gammas.len());
+                for (&gamma, w) in gammas.iter().zip(&grid) {
+                    let want = t.with_gamma(gamma).train(&d).unwrap();
+                    assert_eq!(bits(w), bits(&want), "γ = {gamma} of {gammas:?}");
+                }
+            }
+        }
+        assert!(t
+            .train_grid(&[], &d, Parallelism::Serial)
+            .unwrap()
+            .is_empty());
+        assert!(t.train_grid(&[0.2, 1.5], &d, Parallelism::Serial).is_err());
+        assert!(t
+            .train_grid(&[0.2], &d.subset(&[]), Parallelism::Serial)
+            .is_err());
     }
 
     #[test]

@@ -117,14 +117,7 @@ impl GdtTrainer {
     /// constraint of the paper's Eq. (10), with `coeff = 0` giving
     /// Eq. (3).
     ///
-    /// Each step makes two passes over `w` and allocates nothing. The
-    /// first forms `p = x_q·w_q` and accumulates `x·w = Σp` and
-    /// `‖x ∘ w‖₂² = Σp²` left to right. The second applies, per element,
-    /// the L2 decay, the hinge step `+(α·α₀)·ŷ·x_q` and the penalty
-    /// subgradient `−(s·x_q)·(x_q·w_q)` with `s = α·coeff/‖x ∘ w‖₂`,
-    /// where `w_q` is the pre-decay weight. The sums and groupings are
-    /// those of the separate `dot`, `norm2 ∘ hadamard`, `scale` and
-    /// `axpy` passes, so the result is bit-identical to them.
+    /// The one-lane case of [`Self::train_columns_penalized`].
     ///
     /// # Errors
     ///
@@ -137,6 +130,53 @@ impl GdtTrainer {
         alpha0: f64,
         coeff: f64,
     ) -> Result<Vec<f64>> {
+        let lanes = self.train_columns_penalized(data, class, alpha0, [coeff])?;
+        Ok(lanes.into_iter().map(|[w]| w).collect())
+    }
+
+    /// Trains `L` columns for `class` in lockstep, lane `k` against the
+    /// padded hinge constraint with penalty coefficient `coeffs[k]`
+    /// (see [`Self::train_column_penalized`]). Lane `k` of the result,
+    /// `w[q][k]`, is bit-identical to a separate one-lane run at
+    /// `coeffs[k]`.
+    ///
+    /// The lanes share everything but the coefficient: the shuffle
+    /// order, every step's rate, decay, target and hinge step, and the
+    /// sample. Each step allocates nothing and makes one or two passes
+    /// over the interleaved weights:
+    ///
+    /// - Pass 1 forms `p = x_q·w_q` per lane and accumulates `x·w = Σp`
+    ///   and `‖x ∘ w‖₂² = Σp²` left to right. The `L` lanes are `L`
+    ///   independent accumulator chains, which is where lockstep gains
+    ///   over one lane.
+    /// - Pass 2 runs only if some lane violates its margin. Per element
+    ///   it forms the decayed weight, the hinge step
+    ///   `+(α·α₀)·ŷ·x_q` on top of it, and the penalty subgradient
+    ///   `−(s·x_q)·(x_q·w_q)` on top of that, with `s = α·coeff/‖x ∘ w‖₂`
+    ///   and `w_q` the pre-decay weight. Each lane keeps one of the three
+    ///   by a bit mask, never by arithmetic blending, which could turn a
+    ///   −0 into +0.
+    ///
+    /// A step that violates no lane only records its L2 decay. The next
+    /// pass 1 multiplies it in before forming `p`, and one last sweep
+    /// applies the final step's. The products and sums are those of the
+    /// separate `dot`, `norm2 ∘ hadamard`, `scale` and `axpy` passes, in
+    /// the same order, so every lane is bit-identical to them.
+    ///
+    /// Each call adds its step count to the `gdt.steps` counter and the
+    /// number of steps that ran pass 2 to `gdt.update_steps`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::train_column_penalized`], for every
+    /// lane's coefficient.
+    pub fn train_columns_penalized<const L: usize>(
+        &self,
+        data: &Dataset,
+        class: u8,
+        alpha0: f64,
+        coeffs: [f64; L],
+    ) -> Result<Vec<[f64; L]>> {
         self.validate()?;
         if data.is_empty() {
             return Err(NnError::InvalidParameter {
@@ -150,18 +190,22 @@ impl GdtTrainer {
                 requirement: "must be finite and positive",
             });
         }
-        if !(coeff.is_finite() && coeff >= 0.0) {
+        if !coeffs.iter().all(|c| c.is_finite() && *c >= 0.0) {
             return Err(NnError::InvalidParameter {
                 name: "coeff",
                 requirement: "must be finite and non-negative",
             });
         }
         let n = data.num_features();
-        let mut w = vec![0.0_f64; n];
+        let mut w = vec![[0.0_f64; L]; n];
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(self.seed ^ (class as u64) << 32);
         let decays = self.l2 > 0.0;
+        // The decay of the last step when it violated no lane, not yet
+        // applied to `w`.
+        let mut pending_decay = None;
         let mut step_count = 0usize;
+        let mut update_steps = 0u64;
         for _epoch in 0..self.epochs {
             rng.shuffle(&mut order);
             for &i in &order {
@@ -169,41 +213,90 @@ impl GdtTrainer {
                 let alpha = self.learning_rate / (1.0 + step_count as f64 * self.l2.max(1e-6));
                 let x = data.image(i);
                 let target = if data.label(i) == class { 1.0 } else { -1.0 };
-                // `score` is only compared, so starting at +0 rather than
-                // the −0 of `Iterator::sum` cannot change a step.
-                let mut score = 0.0;
-                let mut norm_sq = 0.0;
-                for (&xq, &wq) in x.iter().zip(&w) {
-                    let p = xq * wq;
-                    score += p;
-                    norm_sq += p * p;
+                let (score, norm_sq) = score_lanes(&mut w, x, pending_decay.take());
+                // Per lane, exactly one mask is all ones: keep the decayed
+                // weight, add the hinge step, or add the hinge step and
+                // the penalty subgradient.
+                let mut keep = [0u64; L];
+                let mut hinge_only = [0u64; L];
+                let mut penalized = [0u64; L];
+                let mut scale = [0.0; L];
+                for k in 0..L {
+                    let penalty_norm = f64::sqrt(norm_sq[k]);
+                    let violated =
+                        alpha0 * target * score[k] - coeffs[k] * penalty_norm < self.margin;
+                    if !violated {
+                        keep[k] = u64::MAX;
+                    } else if coeffs[k] > 0.0 && penalty_norm > 1e-12 {
+                        penalized[k] = u64::MAX;
+                        scale[k] = alpha * coeffs[k] / penalty_norm;
+                    } else {
+                        hinge_only[k] = u64::MAX;
+                    }
                 }
-                let penalty_norm = f64::sqrt(norm_sq);
-                let violated = alpha0 * target * score - coeff * penalty_norm < self.margin;
+                // Exactly 1 when `l2 = 0`, and `w·1 = w` bit for bit.
                 let decay = 1.0 - alpha * self.l2;
-                let hinge = alpha * alpha0 * target;
-                if !violated {
-                    // L2 shrink (applied regardless of margin violation).
+                if keep.iter().all(|&m| m != 0) {
+                    // The L2 shrink applies regardless of margin violation;
+                    // with no hinge step it can wait for the next pass 1.
                     if decays {
-                        w.iter_mut().for_each(|wq| *wq *= decay);
+                        pending_decay = Some(decay);
                     }
-                } else if coeff > 0.0 && penalty_norm > 1e-12 {
-                    let scale = alpha * coeff / penalty_norm;
-                    for (wq, &xq) in w.iter_mut().zip(x) {
-                        let xwq = xq * *wq;
-                        let shrunk = if decays { *wq * decay } else { *wq };
-                        *wq = (shrunk + hinge * xq) - scale * xq * xwq;
-                    }
-                } else {
-                    for (wq, &xq) in w.iter_mut().zip(x) {
-                        let shrunk = if decays { *wq * decay } else { *wq };
-                        *wq = shrunk + hinge * xq;
+                    continue;
+                }
+                update_steps += 1;
+                let hinge = alpha * alpha0 * target;
+                for (wq, &xq) in w.iter_mut().zip(x) {
+                    let step = hinge * xq;
+                    for k in 0..L {
+                        let shrunk = wq[k] * decay;
+                        let stepped = shrunk + step;
+                        let penalized_w = stepped - scale[k] * xq * (xq * wq[k]);
+                        wq[k] = f64::from_bits(
+                            (shrunk.to_bits() & keep[k])
+                                | (stepped.to_bits() & hinge_only[k])
+                                | (penalized_w.to_bits() & penalized[k]),
+                        );
                     }
                 }
             }
         }
+        if let Some(decay) = pending_decay {
+            w.iter_mut().flatten().for_each(|v| *v *= decay);
+        }
+        vortex_obs::counter!("gdt.steps").add(step_count as u64);
+        vortex_obs::counter!("gdt.update_steps").add(update_steps);
         Ok(w)
     }
+}
+
+/// Pass 1: scales `w` by a deferred `decay`, if any, then returns per
+/// lane `x·w` and `‖x ∘ w‖₂²`, each summed left to right from +0. The
+/// sums are only compared, so starting at +0 rather than the −0 of
+/// `Iterator::sum` cannot change a step.
+///
+/// Kept out of line: inlined into the step loop, the lane accumulators
+/// end up in swapped vector halves, at one extra shuffle per sum and
+/// element.
+#[inline(never)]
+fn score_lanes<const L: usize>(
+    w: &mut [[f64; L]],
+    x: &[f64],
+    decay: Option<f64>,
+) -> ([f64; L], [f64; L]) {
+    let mut score = [0.0; L];
+    let mut norm_sq = [0.0; L];
+    for (wq, &xq) in w.iter_mut().zip(x) {
+        if let Some(decay) = decay {
+            *wq = wq.map(|v| v * decay);
+        }
+        for k in 0..L {
+            let p = xq * wq[k];
+            score[k] += p;
+            norm_sq[k] += p * p;
+        }
+    }
+    (score, norm_sq)
 }
 
 #[cfg(test)]
