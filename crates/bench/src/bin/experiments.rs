@@ -1,7 +1,7 @@
 //! Command-line driver regenerating every table and figure of the paper.
 //!
 //! ```text
-//! experiments [fig2|fig3|…|table1|ext|runtime|serve|chaos|fleet|lifetime|all] [--quick|--bench]
+//! experiments [fig2|fig3|…|table1|ext|ablation|runtime|serve|chaos|fleet|lifetime|all] [--quick|--bench]
 //!             [--json] [--metrics <path>]
 //! ```
 //!
@@ -22,8 +22,8 @@ use std::time::Instant;
 
 use vortex_bench::experiments::common::tables_to_json;
 use vortex_bench::experiments::{
-    chaos, encoding, extensions, fig1, fig2, fig3, fig4, fig7, fig8, fig9, fleet, lifetime,
-    runtime, serve, table1, training,
+    ablation, chaos, encoding, extensions, fig1, fig2, fig3, fig4, fig7, fig8, fig9, fleet,
+    lifetime, runtime, serve, table1, training,
 };
 use vortex_bench::Scale;
 
@@ -37,7 +37,7 @@ fn write_json(name: &str, payload: &str) {
 
 fn usage_exit() -> ! {
     eprintln!(
-        "usage: experiments [fig1|fig2|fig3|fig4|fig7|fig8|fig9|table1|ext|runtime|serve|chaos|fleet|lifetime|encoding|training|all] [--quick|--bench] [--json] [--metrics <path>]"
+        "usage: experiments [fig1|fig2|fig3|fig4|fig7|fig8|fig9|table1|ext|ablation|runtime|serve|chaos|fleet|lifetime|encoding|training|all] [--quick|--bench] [--json] [--metrics <path>]"
     );
     std::process::exit(2);
 }
@@ -81,8 +81,8 @@ fn main() {
         .collect();
     let which: Vec<&str> = if which.is_empty() || which.contains(&"all") {
         vec![
-            "fig1", "fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "table1", "ext", "runtime",
-            "serve", "chaos", "fleet", "lifetime", "encoding", "training",
+            "fig1", "fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "table1", "ext", "ablation",
+            "runtime", "serve", "chaos", "fleet", "lifetime", "encoding", "training",
         ]
     } else {
         which
@@ -133,6 +133,10 @@ fn main() {
             }
             "ext" => {
                 let r = extensions::run(&scale);
+                (r.render(), r.tables())
+            }
+            "ablation" => {
+                let r = ablation::run(&scale);
                 (r.render(), r.tables())
             }
             "runtime" => {

@@ -5,19 +5,33 @@
 //! * point (Jacobi) vs wire-line preconditioned CG vs dense LU nodal
 //!   solves;
 //! * self-tuned γ vs a fixed γ across variation corners.
+//!
+//! [`run`] renders all four as the `experiments ablation` tables. Only
+//! the self-tune study depends on the [`Scale`]; the other three run at
+//! fixed paper-scale sizes and are identical at every scale.
 
 use vortex_core::amp::greedy::{greedy_map, RowMapping};
 use vortex_core::amp::{sensitivity, swv};
 use vortex_core::pipeline::{evaluate_hardware, HardwareEnv};
+use vortex_core::report::{fixed, Table};
 use vortex_core::rho::RhoConfig;
 use vortex_core::tuning::SelfTuner;
 use vortex_linalg::distributions::standard_normal;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::sparse::TripletBuilder;
 use vortex_linalg::{iterative, lu, vector, Matrix};
-use vortex_nn::metrics::accuracy_of_weights;
 
 use super::common::Scale;
+
+// The fixed inputs of [`run`], named in the table titles: the
+// penalty-bound study's column length, σ and draws, the mapping study's
+// rows, the solver study's unknowns, and the mapping/self-tune σ.
+const PENALTY_N: usize = 784;
+const PENALTY_SIGMA: f64 = 0.6;
+const PENALTY_DRAWS: usize = 5_000;
+const MAPPING_ROWS: usize = 784;
+const SOLVER_N: usize = 400;
+const ABLATION_SIGMA: f64 = 0.8;
 
 /// Tightness of the VAT penalty bound: the empirical 95th percentile of
 /// the realized output deviation `|Σ x_q w_q θ_q|` vs the RMS-normalized
@@ -220,12 +234,105 @@ pub fn selftune_ablation(scale: &Scale, sigma: f64) -> SelfTuneAblation {
         ..SelfTuner::default()
     };
     let tuned = tuner.tune(&base, &train).expect("tune");
-    let _ = accuracy_of_weights(&tuned.weights, &train);
     SelfTuneAblation {
         fixed_zero: eval(&w0, &mut rng),
         fixed_half: eval(&w5, &mut rng),
         tuned: eval(&tuned.weights, &mut rng),
         tuned_gamma: tuned.best_gamma,
+    }
+}
+
+/// All four ablation studies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AblationResult {
+    /// Penalty-bound tightness at n = 784, σ = 0.6.
+    pub penalty: PenaltyBoundReport,
+    /// Mapping policies at 784×10, σ = 0.8.
+    pub mapping: MappingAblation,
+    /// Jacobi vs wire-line preconditioned CG at n = 400.
+    pub solver: SolverAblation,
+    /// Fixed vs self-tuned γ at σ = 0.8.
+    pub selftune: SelfTuneAblation,
+}
+
+impl AblationResult {
+    /// The four studies as structured tables.
+    pub fn tables(&self) -> Vec<Table> {
+        let p = &self.penalty;
+        let mut penalty = Table::new(
+            format!(
+                "Ablation — Eq. (7) penalty bound (n = {PENALTY_N}, sigma = {PENALTY_SIGMA}, \
+                 {PENALTY_DRAWS} draws)"
+            ),
+            &["q95 |deviation|", "bound", "bound / q95"],
+        );
+        penalty.add_row([
+            fixed(p.empirical_q95, 4),
+            fixed(p.bound, 4),
+            fixed(p.bound / p.empirical_q95, 3),
+        ]);
+
+        let m = &self.mapping;
+        let mut mapping = Table::new(
+            format!("Ablation — row mapping ({MAPPING_ROWS}x10, sigma = {ABLATION_SIGMA})"),
+            &["policy", "residual SWV"],
+        );
+        for (policy, swv) in [
+            ("greedy (Alg. 1)", m.greedy),
+            ("identity", m.identity),
+            ("random", m.random),
+        ] {
+            mapping.add_row([policy.to_string(), fixed(swv, 2)]);
+        }
+
+        let v = &self.solver;
+        let mut solver = Table::new(
+            format!("Ablation — nodal solve preconditioner (n = {SOLVER_N})"),
+            &["preconditioner", "CG iterations", "max |x - x_LU|"],
+        );
+        for (name, iterations, gap) in [
+            ("Jacobi (point)", v.jacobi_iterations, v.jacobi_vs_dense),
+            ("wire-line", v.line_iterations, v.line_vs_dense),
+        ] {
+            solver.add_row([
+                name.to_string(),
+                iterations.to_string(),
+                format!("{gap:.2e}"),
+            ]);
+        }
+
+        let t = &self.selftune;
+        let mut selftune = Table::new(
+            format!("Ablation — self-tuned vs fixed gamma (sigma = {ABLATION_SIGMA})"),
+            &["gamma", "chosen by", "hardware test rate"],
+        );
+        for (gamma, by, rate) in [
+            (0.0, "fixed", t.fixed_zero),
+            (0.5, "fixed", t.fixed_half),
+            (t.tuned_gamma, "self-tune", t.tuned),
+        ] {
+            selftune.add_row([fixed(gamma, 2), by.to_string(), fixed(rate, 3)]);
+        }
+        vec![penalty, mapping, solver, selftune]
+    }
+
+    /// Renders the four studies as text tables.
+    pub fn render(&self) -> String {
+        super::common::render_tables(&self.tables())
+    }
+}
+
+/// Runs all four ablation studies.
+///
+/// # Panics
+///
+/// Panics only on internal configuration errors.
+pub fn run(scale: &Scale) -> AblationResult {
+    AblationResult {
+        penalty: penalty_bound_tightness(PENALTY_N, PENALTY_SIGMA, PENALTY_DRAWS, 1),
+        mapping: mapping_ablation(MAPPING_ROWS, 10, ABLATION_SIGMA, 1),
+        solver: solver_ablation(SOLVER_N, 1),
+        selftune: selftune_ablation(scale, ABLATION_SIGMA),
     }
 }
 

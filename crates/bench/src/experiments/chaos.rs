@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use vortex_core::amp::greedy::RowMapping;
 use vortex_core::pipeline::HardwareEnv;
-use vortex_core::report::{fixed, json_string, Table};
+use vortex_core::report::{fixed, Table};
 use vortex_device::drift::RetentionModel;
 use vortex_nn::executor::Parallelism;
 use vortex_runtime::CompiledModel;
@@ -175,11 +175,6 @@ impl ChaosBenchResult {
             super::common::tables_to_json(&self.tables()),
         )
     }
-}
-
-/// Validates a JSON fragment claim used by the tests.
-pub fn json_field(json: &str, key: &str) -> bool {
-    json.contains(&format!("{}:", json_string(key)))
 }
 
 /// Drains one prefilled traffic phase through the scheduler, counting
@@ -341,6 +336,7 @@ pub fn run(scale: &Scale) -> ChaosBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::json_field;
 
     #[test]
     fn chaos_run_loses_nothing_and_recovers_exactly() {

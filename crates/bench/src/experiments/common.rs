@@ -11,8 +11,8 @@ use vortex_nn::split::stratified_split;
 ///
 /// `paper()` matches the paper's setup (4000 train / 2000 test samples on
 /// a 784-row crossbar, 1000-run Fig. 2 Monte Carlo); `quick()` shrinks
-/// everything to seconds for CI; `bench()` shrinks further for Criterion
-/// iterations.
+/// everything to seconds for CI; `bench()` shrinks further for unit and
+/// CLI tests (`experiments --bench`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Training samples.
@@ -62,7 +62,7 @@ impl Scale {
         }
     }
 
-    /// An even smaller configuration for Criterion iterations.
+    /// An even smaller configuration for tests (`experiments --bench`).
     pub fn bench() -> Self {
         Self {
             n_train: 120,
@@ -152,6 +152,13 @@ pub fn tables_to_json(tables: &[Table]) -> String {
     }
     out.push(']');
     out
+}
+
+/// Whether `json` carries `key` as an object key — the payload-shape
+/// check of the experiments' JSON writer tests.
+#[cfg(test)]
+pub(crate) fn json_field(json: &str, key: &str) -> bool {
+    json.contains(&format!("{}:", vortex_core::report::json_string(key)))
 }
 
 #[cfg(test)]

@@ -284,7 +284,7 @@ pub fn run(scale: &Scale) -> EncodingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::serve::json_field;
+    use crate::experiments::common::json_field;
 
     #[test]
     fn pulse_budgets_match_and_tables_are_deterministic() {

@@ -585,7 +585,7 @@ pub fn run(scale: &Scale) -> FleetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::serve::json_field;
+    use crate::experiments::common::json_field;
 
     #[test]
     fn ensemble_beats_every_single_chip_at_high_sigma() {

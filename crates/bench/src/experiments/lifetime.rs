@@ -410,7 +410,7 @@ pub fn run(scale: &Scale) -> LifetimeBenchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::chaos::json_field;
+    use crate::experiments::common::json_field;
 
     #[test]
     fn lifetime_run_is_deterministic() {

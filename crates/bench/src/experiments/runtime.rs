@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use vortex_core::amp::greedy::RowMapping;
 use vortex_core::pipeline::{HardwareEnv, ReadFidelity};
-use vortex_core::report::{fixed, json_string, Table};
+use vortex_core::report::{fixed, Table};
 use vortex_linalg::Matrix;
 use vortex_nn::executor::Parallelism;
 use vortex_runtime::CompiledModel;
@@ -163,15 +163,10 @@ impl RuntimeResult {
     }
 }
 
-/// Validates a JSON fragment claim used by the binary's writer tests.
-pub fn json_field(json: &str, key: &str) -> bool {
-    json.contains(&format!("{}:", json_string(key)))
-}
-
 fn meter(model: &CompiledModel, samples: &[&[f64]], parallelism: Parallelism) -> f64 {
     // Repeat whole passes until a wall-clock floor so short test sets
     // still give a stable rate.
-    let floor_s = 0.15;
+    let floor_s = 0.05;
     let start = Instant::now();
     let mut scored = 0usize;
     loop {
@@ -206,8 +201,8 @@ fn time_rebuild_ms(model: &CompiledModel) -> f64 {
     times[times.len() / 2]
 }
 
-/// Runs the experiment: compile once, meter all three paths, then meter
-/// the same chip frozen at Exact fidelity.
+/// Runs the experiment: compile once, freeze the same chip at Exact
+/// fidelity, then meter all four paths.
 ///
 /// # Panics
 ///
@@ -238,10 +233,22 @@ pub fn run(scale: &Scale) -> RuntimeResult {
 
     let samples: Vec<&[f64]> = (0..test.len()).map(|i| test.image(i)).collect();
     let threads = 8;
-    let reference_sps = meter(&reference, &samples, Parallelism::Serial);
-    let serial_sps = meter(&model, &samples, Parallelism::Serial);
-    let parallel_sps = meter(&model, &samples, Parallelism::Fixed(threads));
-    let exact_sps = meter(&exact, &samples, Parallelism::Serial);
+    let paths = [
+        (&reference, Parallelism::Serial),
+        (&model, Parallelism::Serial),
+        (&model, Parallelism::Fixed(threads)),
+        (&exact, Parallelism::Serial),
+    ];
+    // Three rounds interleave the paths and each keeps its best rate, so
+    // a burst of load from other processes cannot land on one path alone
+    // and skew the gated serial:reference ratio (`kernel_gain`).
+    let mut best = [0.0_f64; 4];
+    for _ in 0..3 {
+        for (rate, &(model, parallelism)) in best.iter_mut().zip(&paths) {
+            *rate = rate.max(meter(model, &samples, parallelism));
+        }
+    }
+    let [reference_sps, serial_sps, parallel_sps, exact_sps] = best;
     RuntimeResult {
         rows: model.rows(),
         cols: model.classes(),
@@ -260,6 +267,7 @@ pub fn run(scale: &Scale) -> RuntimeResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::json_field;
 
     #[test]
     fn throughput_is_positive_and_predictions_agree() {

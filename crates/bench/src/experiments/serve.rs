@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use vortex_core::amp::greedy::RowMapping;
 use vortex_core::pipeline::{HardwareEnv, ReadFidelity};
-use vortex_core::report::{fixed, json_string, Table};
+use vortex_core::report::{fixed, Table};
 use vortex_nn::executor::Parallelism;
 use vortex_runtime::CompiledModel;
 use vortex_serve::{Scheduler, SchedulerConfig, ServeError, Ticket};
@@ -163,11 +163,6 @@ impl ServeResult {
             super::common::tables_to_json(&self.tables()),
         )
     }
-}
-
-/// Validates a JSON fragment claim used by the binary's writer tests.
-pub fn json_field(json: &str, key: &str) -> bool {
-    json.contains(&format!("{}:", json_string(key)))
 }
 
 /// Meters closed-loop serial dispatch: one scheduler worker, `max_batch
@@ -354,6 +349,7 @@ fn degradation_burst(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::json_field;
 
     #[test]
     fn throughput_is_positive_and_degradation_is_exact() {

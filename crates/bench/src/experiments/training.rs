@@ -388,7 +388,7 @@ pub fn run(scale: &Scale) -> TrainingResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::serve::json_field;
+    use crate::experiments::common::json_field;
 
     #[test]
     fn recovery_is_exact_and_chaos_actually_bites() {

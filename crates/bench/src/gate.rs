@@ -4,7 +4,7 @@
 //! lifetime encoding training --quick --json`, then compares each fresh
 //! `BENCH_<name>.json`
 //! against its checked-in
-//! `bench/baseline*.json` file: any gated throughput key regressing
+//! `bench/baseline*.json` file: any gated floor key regressing
 //! more than the allowed fraction fails the build. The baseline is
 //! intentionally conservative (set well below a warm local run) so
 //! ordinary runner noise passes while a genuine hot-path regression — a
@@ -20,23 +20,26 @@
 //! performs the one extraction this gate needs: finding a numeric field
 //! by key in a flat JSON object.
 
-/// The throughput keys the gate compares (higher is better, samples/sec
-/// — or requests per *virtual* second for the lifetime key, which makes
-/// that floor noise-free). Baselines opt keys in: `bench/baseline.json`
-/// gates the runtime experiment's reference/serial/parallel trio (the
-/// f64 reference kernel, the certified-f32 serial fast path, and the
-/// pooled parallel batch) plus its serial Exact-fidelity read (which
-/// collapses if Exact stops reading through its compiled transfer
-/// matrices), `bench/baseline_serve.json` gates the serve
-/// experiment's serial/pooled pair, `bench/baseline_fleet.json` gates
-/// the fleet experiment's five-replica drain, and
+/// The floor keys the gate compares (higher is better). All but one are
+/// throughput in samples/sec (requests per *virtual* second for the
+/// lifetime key, which makes that floor noise-free); `kernel_gain` is a
+/// unitless ratio. Baselines opt keys in: `bench/baseline.json` gates
+/// the runtime experiment's reference/serial/parallel trio (the f64
+/// reference kernel, the certified-f32 serial fast path, and the pooled
+/// parallel batch), its serial Exact-fidelity read (which collapses if
+/// Exact stops reading through its compiled transfer matrices), and
+/// `kernel_gain`, serial over reference, which falls to ≈1 if the f32
+/// fast path stops engaging. `bench/baseline_serve.json` gates the
+/// serve experiment's serial/pooled pair, `bench/baseline_fleet.json`
+/// gates the fleet experiment's five-replica drain, and
 /// `bench/baseline_lifetime.json` floors the virtual throughput the
 /// deployed recalibration policy sustains around its blackout windows.
-pub const GATED_KEYS: [&str; 7] = [
+pub const GATED_KEYS: [&str; 8] = [
     "reference_samples_per_sec",
     "serial_samples_per_sec",
     "parallel_samples_per_sec",
     "exact_samples_per_sec",
+    "kernel_gain",
     "pooled_samples_per_sec",
     "fleet_goodput_samples_per_sec",
     "lifetime_served_per_virtual_sec",
@@ -506,6 +509,35 @@ mod tests {
         let report = check(current, baseline, 0.30).unwrap();
         assert_eq!(report.checks.len(), 3);
         assert!(report.pass());
+    }
+
+    #[test]
+    fn checked_in_runtime_baseline_catches_a_lost_fast_path() {
+        // Every floor and ceiling of the checked-in runtime baseline is
+        // met with room to spare, but serial runs at reference speed, as
+        // it does when the certified f32 path stops engaging: exactly
+        // the `kernel_gain` check must fail.
+        let baseline = include_str!("../../../bench/baseline.json");
+        let mut fields = Vec::new();
+        for key in GATED_KEYS.iter().chain(&CEILING_KEYS) {
+            if let Some(v) = extract_number(baseline, key) {
+                let current = match *key {
+                    "kernel_gain" => 1.0,
+                    k if CEILING_KEYS.contains(&k) => v / 2.0,
+                    _ => v * 2.0,
+                };
+                fields.push(format!("\"{key}\":{current}"));
+            }
+        }
+        let current = format!("{{{}}}", fields.join(","));
+        let report = check(&current, baseline, 0.30).unwrap();
+        let failed: Vec<&str> = report
+            .checks
+            .iter()
+            .filter(|c| !c.pass)
+            .map(|c| c.key.as_str())
+            .collect();
+        assert_eq!(failed, ["kernel_gain"], "{}", report.render());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Each module under [`experiments`] implements one figure/table as a
 //! pure function from an [`experiments::common::Scale`] to a structured
 //! result with a text renderer. The `experiments` binary drives them from
-//! the command line; the Criterion benches time reduced-scale versions;
-//! the workspace integration tests assert the qualitative shapes.
+//! the command line and times each run; the workspace integration tests
+//! assert the qualitative shapes.
 //!
 //! | Paper artifact | Module |
 //! |---|---|
@@ -17,6 +17,7 @@
 //! | Fig. 8 (ADC resolution) | [`experiments::fig8`] |
 //! | Fig. 9 (design redundancy) | [`experiments::fig9`] |
 //! | Table 1 (crossbar sizes) | [`experiments::table1`] |
+//! | Design-choice ablations | [`experiments::ablation`] |
 //! | Runtime throughput (extension) | [`experiments::runtime`] |
 //! | Serving throughput (extension) | [`experiments::serve`] |
 //! | Self-healing chaos (extension) | [`experiments::chaos`] |

@@ -56,6 +56,37 @@ fn multiple_experiments_in_one_invocation() {
 }
 
 #[test]
+fn ablation_prints_four_tables_and_writes_its_payload() {
+    let dir = std::env::temp_dir().join(format!("vortex-cli-ablation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["ablation", "--bench", "--json"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "experiments failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let titles = [
+        "Ablation — Eq. (7) penalty bound",
+        "Ablation — row mapping",
+        "Ablation — nodal solve preconditioner",
+        "Ablation — self-tuned vs fixed gamma",
+    ];
+    for title in titles {
+        assert!(stdout.contains(title), "missing table {title:?}");
+    }
+    assert!(stdout.contains("wrote BENCH_ablation.json"));
+    let json = std::fs::read_to_string(dir.join("BENCH_ablation.json")).expect("payload written");
+    assert!(json.starts_with('[') && json.ends_with(']'));
+    assert_eq!(json.matches("\"title\":").count(), titles.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_writes_a_gateable_json_payload() {
     let dir = std::env::temp_dir().join(format!("vortex-cli-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -107,7 +138,8 @@ fn runtime_payload_passes_the_checked_in_throughput_gate() {
     assert!(stdout.contains("wrote BENCH_runtime.json"));
 
     // The payload must carry every gated key (reference kernel, serial
-    // fast path, pooled parallel, Exact read) with sane values…
+    // fast path, pooled parallel, Exact read, fast-path gain) with sane
+    // values…
     let json = std::fs::read_to_string(dir.join("BENCH_runtime.json")).expect("payload written");
     for key in [
         "reference_samples_per_sec",
@@ -115,6 +147,7 @@ fn runtime_payload_passes_the_checked_in_throughput_gate() {
         "parallel_samples_per_sec",
         "exact_samples_per_sec",
         "exact_transfer_build_ms",
+        "kernel_gain",
     ] {
         let v = vortex_bench::gate::extract_number(&json, key)
             .unwrap_or_else(|| panic!("{key} missing from payload"));
@@ -130,8 +163,8 @@ fn runtime_payload_passes_the_checked_in_throughput_gate() {
     let report = vortex_bench::gate::check(&json, &baseline, 0.30).expect("gateable payload");
     assert_eq!(
         report.checks.len(),
-        5,
-        "baseline gates four runtime floors and the Exact compile ceiling"
+        6,
+        "baseline gates four runtime floors, the kernel gain and the Exact compile ceiling"
     );
     assert!(
         report.pass(),

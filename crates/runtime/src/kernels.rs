@@ -169,17 +169,12 @@ impl FastGemv {
         self.cols
     }
 
-    /// The combined f32 matrix, row-major (for benches and tests).
-    pub fn matrix(&self) -> &[f32] {
-        &self.d
-    }
-
     /// Error-bound coefficient of column `j` (multiply by `‖x‖₁`).
     pub fn radius(&self, j: usize) -> f64 {
         self.radius[j]
     }
 
-    /// Raw f32 scores into `s32` (uncertified — tests and benches only;
+    /// Raw f32 scores into `s32` (uncertified — tests only;
     /// the model uses [`Self::certified_label`]).
     pub fn scores_into(&self, x32: &[f32], s32: &mut [f32]) {
         gemv_f32(&self.d, self.rows, self.cols, x32, s32);

@@ -182,7 +182,9 @@ impl ProgramVoltageMap {
 /// Calibrated with one exact mesh solve on a reference input; the per-cell
 /// attenuation `a_ij = V_device(i,j) / x_ref_i` is then reused for every
 /// sample. Exact for inputs proportional to the reference; a controlled
-/// approximation otherwise (see the `ablation_solver` bench).
+/// approximation otherwise, bounded against the exact mesh by the
+/// `attenuation_map_is_reasonable_off_reference` unit test and
+/// `tests/crossbar_physics.rs::attenuation_model_validated_against_exact_mesh`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComputeAttenuationMap {
     attenuation: Matrix,
