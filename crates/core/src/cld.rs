@@ -24,6 +24,10 @@
 //! programming-voltage map of the *current* conductance state (refreshed
 //! every epoch). This matches the paper's own analytical treatment
 //! (Eq. (2)) while keeping the paper-scale experiments tractable.
+//!
+//! The per-sample update loop itself is [`DeltaRule::epoch`], the one
+//! delta-rule kernel in the workspace: [`CldTrainer`] runs it, and so
+//! does `vortex_train`'s resumable stepper.
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
@@ -192,31 +196,12 @@ impl CldTrainer {
     ) -> Result<Matrix> {
         let n = train.num_features();
         let c = train.num_classes();
-        // Per-cell variation multipliers of this fabricated array. The
-        // achieved-update scale is clamped: a real close-loop programmer
-        // works with bounded pulse widths, so a pathologically fast
-        // device cannot blow an update up without limit (this also keeps
-        // the per-cell effective learning rate inside the delta-rule
-        // stability region).
-        let theta = env.variation.sample_theta_matrix(n, c, rng);
-        let update_scale_variation = theta.map(|t| t.exp().clamp(0.05, 3.0));
+        let update_scale = achieved_update_scale(env, n, c, rng);
 
         let mut w = Matrix::zeros(n, c);
         let mut order: Vec<usize> = (0..train.len()).collect();
         let wm = WeightMapping::new(&env.device, env.w_max).map_err(CoreError::Xbar)?;
-
-        // Normalized-LMS step: dividing by the mean input energy keeps the
-        // per-cell effective rate inside the delta-rule stability region
-        // regardless of the input dimension (a 784-pixel image carries
-        // ~16x the energy of a 49-pixel one).
-        let mean_energy = {
-            let mut acc = 0.0;
-            for i in 0..train.len() {
-                acc += vortex_linalg::vector::dot(train.image(i), train.image(i));
-            }
-            (acc / train.len() as f64).max(1e-9)
-        };
-        let step_scale = self.learning_rate / mean_energy;
+        let step_scale = nlms_step_scale(train, self.learning_rate);
 
         for epoch in 0..self.epochs {
             // Refresh the IR-drop update-rate profile from the current
@@ -227,39 +212,14 @@ impl CldTrainer {
                 None
             };
             rng.shuffle(&mut order);
-            let mut sq_err = 0.0;
-            for &i in &order {
-                let x = train.image(i);
-                let label = train.label(i);
-                let y = w.vecmat(x);
-                let y_sensed: Vec<f64> = match adc {
-                    Some(adc) => y.iter().map(|&v| adc.quantize_signed(v)).collect(),
-                    None => y,
-                };
-                for j in 0..c {
-                    let target = if label as usize == j { 1.0 } else { -1.0 };
-                    let err = target - y_sensed[j];
-                    sq_err += err * err;
-                    if err == 0.0 {
-                        continue;
-                    }
-                    let step = step_scale * err;
-                    for (q, &xq) in x.iter().enumerate() {
-                        if xq == 0.0 {
-                            continue;
-                        }
-                        let mut delta = step * xq;
-                        // Achieved update is scaled by the device's e^θ …
-                        delta *= update_scale_variation[(q, j)];
-                        // … and by the IR-drop β·D profile.
-                        if let Some(profile) = &irdrop_profile {
-                            delta *= profile[(q, j)];
-                        }
-                        w[(q, j)] = (w[(q, j)] + delta).clamp(-env.w_max, env.w_max);
-                    }
-                }
-            }
-            let mse = sq_err / (train.len() * c) as f64;
+            let rule = DeltaRule {
+                step_scale,
+                update_scale: &update_scale,
+                irdrop_profile: irdrop_profile.as_ref(),
+                adc,
+                w_max: env.w_max,
+            };
+            let mse = rule.epoch(&mut w, train, &order);
             if mse < self.tolerance && epoch > 0 {
                 break;
             }
@@ -296,6 +256,148 @@ impl CldTrainer {
             }
         }
         Ok(profile)
+    }
+}
+
+/// The per-cell achieved-update multipliers `clamp(e^θ, 0.05, 3.0)` of a
+/// freshly fabricated `rows × cols` array, drawn from `env`'s variation
+/// model.
+///
+/// The clamp models a real close-loop programmer's bounded pulse widths:
+/// a pathologically fast device cannot blow an update up without limit,
+/// which also keeps the per-cell effective learning rate inside the
+/// delta-rule stability region.
+pub fn achieved_update_scale(
+    env: &HardwareEnv,
+    rows: usize,
+    cols: usize,
+    rng: &mut Xoshiro256PlusPlus,
+) -> Matrix {
+    let theta = env.variation.sample_theta_matrix(rows, cols, rng);
+    theta.map(|t| t.exp().clamp(0.05, 3.0))
+}
+
+/// The normalized-LMS step scale `learning_rate / max(mean ‖x‖², 1e-9)`.
+///
+/// Dividing by the mean input energy keeps the per-cell effective rate
+/// inside the delta-rule stability region regardless of the input
+/// dimension (a 784-pixel image carries ~16x the energy of a 49-pixel
+/// one).
+pub fn nlms_step_scale(train: &Dataset, learning_rate: f64) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..train.len() {
+        acc += vortex_linalg::vector::dot(train.image(i), train.image(i));
+    }
+    learning_rate / (acc / train.len() as f64).max(1e-9)
+}
+
+/// One fabricated array's delta-rule update (Eq. (1)): what a sensed
+/// error does to each weight cell.
+///
+/// Cell `(q, j)` of a sample `x` with sensed class-`j` error `e` moves by
+/// `((step_scale · e) · x_q · update_scale[q, j]) · irdrop_profile[q, j]`,
+/// then saturates at `±w_max`. Classes sensed exactly on target
+/// (`e == 0`) and zero inputs are skipped.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaRule<'a> {
+    /// Normalized-LMS step scale (see [`nlms_step_scale`]).
+    pub step_scale: f64,
+    /// Per-cell achieved-update multipliers (see
+    /// [`achieved_update_scale`]), `features × classes`.
+    pub update_scale: &'a Matrix,
+    /// Per-cell IR-drop `β·D` update-rate profile of Eq. (2), if modelled.
+    pub irdrop_profile: Option<&'a Matrix>,
+    /// Sensing ADC (`None` = ideal sensing).
+    pub adc: Option<&'a Adc>,
+    /// Weight saturation magnitude.
+    pub w_max: f64,
+}
+
+impl DeltaRule<'_> {
+    /// Runs one pass of per-sample delta-rule updates over `train` in
+    /// `order` against `weights` (`features × classes`), and returns the
+    /// mean squared sensed error of the pass.
+    ///
+    /// The pass allocates two class-length buffers and nothing per
+    /// sample. Each sample's output is `x·W` accumulated row by row, in
+    /// the same order as [`Matrix::vecmat`]. The update then walks each
+    /// contiguous weight row once, across every class off target. Cells
+    /// are independent within a sample, so the result is bit-identical
+    /// to a per-(class, feature) loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights`, `update_scale`, `irdrop_profile` and `train`
+    /// disagree on shape, or if an `order` index is out of bounds.
+    pub fn epoch(&self, weights: &mut Matrix, train: &Dataset, order: &[usize]) -> f64 {
+        let (n, c) = (weights.rows(), weights.cols());
+        assert_eq!(n, train.num_features(), "DeltaRule: feature mismatch");
+        assert_eq!(
+            (self.update_scale.rows(), self.update_scale.cols()),
+            (n, c),
+            "DeltaRule: update-scale shape mismatch"
+        );
+        if let Some(profile) = self.irdrop_profile {
+            assert_eq!(
+                (profile.rows(), profile.cols()),
+                (n, c),
+                "DeltaRule: IR-drop profile shape mismatch"
+            );
+        }
+        let w = weights.as_mut_slice();
+        let scale = self.update_scale.as_slice();
+        let profile = self.irdrop_profile.map(Matrix::as_slice);
+        let mut y = vec![0.0; c];
+        // `(class, step_scale · err)` of every class off target.
+        let mut steps: Vec<(usize, f64)> = Vec::with_capacity(c);
+        let mut sq_err = 0.0;
+        for &i in order {
+            let x = train.image(i);
+            let label = train.label(i) as usize;
+            y.fill(0.0);
+            for (&xq, row) in x.iter().zip(w.chunks_exact(c)) {
+                if xq == 0.0 {
+                    continue;
+                }
+                for (yj, &wqj) in y.iter_mut().zip(row) {
+                    *yj += xq * wqj;
+                }
+            }
+            steps.clear();
+            for (j, &yj) in y.iter().enumerate() {
+                let sensed = match self.adc {
+                    Some(adc) => adc.quantize_signed(yj),
+                    None => yj,
+                };
+                let target = if label == j { 1.0 } else { -1.0 };
+                let err = target - sensed;
+                sq_err += err * err;
+                if err != 0.0 {
+                    steps.push((j, self.step_scale * err));
+                }
+            }
+            if steps.is_empty() {
+                continue;
+            }
+            for (q, &xq) in x.iter().enumerate() {
+                if xq == 0.0 {
+                    continue;
+                }
+                let cells = q * c..(q + 1) * c;
+                let (row, scale_row) = (&mut w[cells.clone()], &scale[cells.clone()]);
+                let profile_row = profile.map(|p| &p[cells]);
+                for &(j, step) in &steps {
+                    // The achieved update is scaled by the device's e^θ …
+                    let mut delta = step * xq * scale_row[j];
+                    // … and by the IR-drop β·D profile.
+                    if let Some(p) = profile_row {
+                        delta *= p[j];
+                    }
+                    row[j] = (row[j] + delta).clamp(-self.w_max, self.w_max);
+                }
+            }
+        }
+        sq_err / (order.len() * c) as f64
     }
 }
 

@@ -385,7 +385,10 @@ impl TrainingJob {
                 if kill {
                     panic!("chaos: injected training kill");
                 }
-                stepper.step(&train);
+                {
+                    let _span = vortex_obs::span!("train.step_seconds");
+                    stepper.step(&train);
+                }
                 stepper
             }));
             // A dropped receiver just discards the result; never panic
@@ -415,6 +418,7 @@ impl TrainingJob {
 
     /// Atomically persists the stepper's state into this epoch's slot.
     fn write_checkpoint(&self, stepper: &DeltaStepper) -> Result<()> {
+        let _span = vortex_obs::span!("train.checkpoint_seconds");
         let path = self.config.slot_for_epoch(stepper.epoch());
         stepper.checkpoint().save(&path)?;
         vortex_obs::counter!("train.checkpoints").incr();
@@ -545,6 +549,13 @@ mod tests {
         // The final checkpoint always lands.
         let slots: Vec<_> = SLOT_FILES.iter().filter(|f| dir.join(f).exists()).collect();
         assert!(!slots.is_empty(), "no checkpoint slot was written");
+        // Every mini-epoch and every checkpoint write is timed.
+        for name in ["train.step_seconds", "train.checkpoint_seconds"] {
+            assert!(
+                vortex_obs::histogram(name).count() > 0,
+                "{name} recorded no spans"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,9 @@
 //!
 //! [`DeltaStepper`] is the CLD training loop of `vortex_core::cld`
 //! re-cut into *mini-epochs*: one call to [`DeltaStepper::step`] is one
-//! full shuffled pass over the training set, and between any two calls
-//! the complete training state freezes into a
+//! full shuffled pass over the training set through
+//! [`DeltaRule::epoch`], the same kernel `CldTrainer` runs. Between any
+//! two calls the complete training state freezes into a
 //! [`TrainingCheckpoint`] — weights, normalized-LMS step scale, epoch
 //! and sample counters, and the exact position of the RNG stream.
 //!
@@ -24,6 +25,7 @@
 //!   seeded from `config.seed`, so re-deriving them never perturbs the
 //!   training stream.
 
+use vortex_core::cld::{achieved_update_scale, nlms_step_scale, DeltaRule};
 use vortex_core::pipeline::HardwareEnv;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
@@ -146,23 +148,9 @@ impl DeltaStepper {
         // so that resuming (which re-runs this derivation) cannot shift
         // the training stream.
         let mut fab_rng = Xoshiro256PlusPlus::seed_from_u64(config.seed ^ VARIATION_STREAM);
-        let theta = env.variation.sample_theta_matrix(
-            train.num_features(),
-            train.num_classes(),
-            &mut fab_rng,
-        );
-        let update_scale_variation = theta.map(|t| t.exp().clamp(0.05, 3.0));
-        // Normalized-LMS step: dividing by the mean input energy keeps
-        // the per-cell effective rate inside the delta-rule stability
-        // region regardless of the input dimension.
-        let mean_energy = {
-            let mut acc = 0.0;
-            for i in 0..train.len() {
-                acc += vortex_linalg::vector::dot(train.image(i), train.image(i));
-            }
-            (acc / train.len() as f64).max(1e-9)
-        };
-        let step_scale = config.learning_rate / mean_energy;
+        let update_scale_variation =
+            achieved_update_scale(env, train.num_features(), train.num_classes(), &mut fab_rng);
+        let step_scale = nlms_step_scale(train, config.learning_rate);
         Ok((adc, update_scale_variation, step_scale))
     }
 
@@ -253,40 +241,18 @@ impl DeltaStepper {
     /// shared pool; determinism follows from the RNG being the only
     /// source of order.
     pub fn step(&mut self, train: &Dataset) -> f64 {
-        let c = train.num_classes();
         let mut order: Vec<usize> = (0..train.len()).collect();
         self.rng.shuffle(&mut order);
-        let mut sq_err = 0.0;
-        for &i in &order {
-            let x = train.image(i);
-            let label = train.label(i);
-            let y = self.weights.vecmat(x);
-            let y_sensed: Vec<f64> = match &self.adc {
-                Some(adc) => y.iter().map(|&v| adc.quantize_signed(v)).collect(),
-                None => y,
-            };
-            for (j, &sensed) in y_sensed.iter().enumerate().take(c) {
-                let target = if label as usize == j { 1.0 } else { -1.0 };
-                let err = target - sensed;
-                sq_err += err * err;
-                if err == 0.0 {
-                    continue;
-                }
-                let step = self.step_scale * err;
-                for (q, &xq) in x.iter().enumerate() {
-                    if xq == 0.0 {
-                        continue;
-                    }
-                    // The achieved update is scaled by the device's e^θ.
-                    let delta = step * xq * self.update_scale_variation[(q, j)];
-                    self.weights[(q, j)] =
-                        (self.weights[(q, j)] + delta).clamp(-self.w_max, self.w_max);
-                }
-            }
-        }
+        let rule = DeltaRule {
+            step_scale: self.step_scale,
+            update_scale: &self.update_scale_variation,
+            irdrop_profile: None,
+            adc: self.adc.as_ref(),
+            w_max: self.w_max,
+        };
+        self.last_mse = rule.epoch(&mut self.weights, train, &order);
         self.epoch += 1;
         self.samples_seen += train.len() as u64;
-        self.last_mse = sq_err / (train.len() * c) as f64;
         self.last_mse
     }
 
