@@ -552,5 +552,15 @@ fn metrics_flag_writes_a_snapshot_covering_every_instrumented_layer() {
             .expect("counter parses");
         assert!(count > 0, "{name} counted nothing");
     }
+    // Whether the wide kernels ran on their AVX2 copies: 1 or 0.
+    let needle = "\"nn.avx2\":";
+    let at = json.find(needle).expect("nn.avx2 missing from snapshot");
+    let avx2: f64 = json[at + needle.len()..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .collect::<String>()
+        .parse()
+        .expect("gauge parses");
+    assert!(avx2 == 0.0 || avx2 == 1.0, "nn.avx2 = {avx2}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -83,6 +83,12 @@ pub struct SelfTuner {
     /// one trial per γ. Every setting produces identical results (column
     /// training draws no randomness, and each candidate γ validates on
     /// its own pre-split stream); only wall-clock time changes.
+    ///
+    /// Independently of this setting, every training task and validation
+    /// trial runs the hinge-SGD kernel and the batch scorer on the copy
+    /// [`vortex_nn::isa::Isa::host`] selects at run time: AVX2 when the
+    /// CPU has it, baseline x86-64 otherwise. The copies give the same
+    /// bits.
     pub parallelism: Parallelism,
 }
 

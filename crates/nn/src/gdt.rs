@@ -11,6 +11,7 @@ use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 
 use crate::dataset::Dataset;
+use crate::isa::Isa;
 use crate::{NnError, Result};
 
 /// Hinge-loss subgradient trainer configuration.
@@ -163,6 +164,11 @@ impl GdtTrainer {
     /// separate `dot`, `norm2 ∘ hadamard`, `scale` and `axpy` passes, in
     /// the same order, so every lane is bit-identical to them.
     ///
+    /// The step loop is one body compiled for baseline x86-64 and for
+    /// AVX2, where one lane block of `L = 4` fits one `ymm` register per
+    /// sum; this runs the copy [`Isa::host`] selects at run time. Both
+    /// copies give the same bits (see [`crate::isa`]).
+    ///
     /// Each call adds its step count to the `gdt.steps` counter and the
     /// number of steps that ran pass 2 to `gdt.update_steps`.
     ///
@@ -172,6 +178,23 @@ impl GdtTrainer {
     /// lane's coefficient.
     pub fn train_columns_penalized<const L: usize>(
         &self,
+        data: &Dataset,
+        class: u8,
+        alpha0: f64,
+        coeffs: [f64; L],
+    ) -> Result<Vec<[f64; L]>> {
+        self.train_columns_penalized_on(Isa::host(), data, class, alpha0, coeffs)
+    }
+
+    /// [`Self::train_columns_penalized`] on the copy of the step loop
+    /// compiled for `isa`. Every `isa` gives bit-identical weights.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::train_columns_penalized`].
+    pub fn train_columns_penalized_on<const L: usize>(
+        &self,
+        isa: Isa,
         data: &Dataset,
         class: u8,
         alpha0: f64,
@@ -196,6 +219,28 @@ impl GdtTrainer {
                 requirement: "must be finite and non-negative",
             });
         }
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if isa.is_avx2() {
+            // SAFETY: an `Isa` with AVX2 exists only on a host whose CPU
+            // supports AVX2 (`Isa::avx2` checks it).
+            return Ok(unsafe { self.hinge_steps_avx2(data, class, alpha0, coeffs) });
+        }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let _ = isa;
+        Ok(self.hinge_steps(data, class, alpha0, coeffs))
+    }
+
+    /// The step loop of [`Self::train_columns_penalized_on`] on checked
+    /// arguments, counters included. The one body behind both ISA
+    /// copies.
+    #[inline(always)]
+    fn hinge_steps<const L: usize>(
+        &self,
+        data: &Dataset,
+        class: u8,
+        alpha0: f64,
+        coeffs: [f64; L],
+    ) -> Vec<[f64; L]> {
         let n = data.num_features();
         let mut w = vec![[0.0_f64; L]; n];
         let mut order: Vec<usize> = (0..data.len()).collect();
@@ -266,7 +311,24 @@ impl GdtTrainer {
         }
         vortex_obs::counter!("gdt.steps").add(step_count as u64);
         vortex_obs::counter!("gdt.update_steps").add(update_steps);
-        Ok(w)
+        w
+    }
+
+    /// [`Self::hinge_steps`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn hinge_steps_avx2<const L: usize>(
+        &self,
+        data: &Dataset,
+        class: u8,
+        alpha0: f64,
+        coeffs: [f64; L],
+    ) -> Vec<[f64; L]> {
+        self.hinge_steps(data, class, alpha0, coeffs)
     }
 }
 
@@ -275,10 +337,11 @@ impl GdtTrainer {
 /// sums are only compared, so starting at +0 rather than the −0 of
 /// `Iterator::sum` cannot change a step.
 ///
-/// Kept out of line: inlined into the step loop, the lane accumulators
-/// end up in swapped vector halves, at one extra shuffle per sum and
-/// element.
-#[inline(never)]
+/// Always inlined, so each ISA copy of the step loop gets its own copy
+/// of pass 1. Out of line it stays baseline code: the AVX2 scan then ran
+/// no faster than the baseline one. The baseline copy measured the same
+/// inlined or not.
+#[inline(always)]
 fn score_lanes<const L: usize>(
     w: &mut [[f64; L]],
     x: &[f64],

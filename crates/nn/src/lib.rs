@@ -46,6 +46,7 @@ pub mod classifier;
 pub mod dataset;
 pub mod executor;
 pub mod gdt;
+pub mod isa;
 pub mod metrics;
 pub mod montecarlo;
 pub mod pool;

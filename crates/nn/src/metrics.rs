@@ -7,20 +7,22 @@
 
 use vortex_linalg::Matrix;
 
-use crate::classifier::LinearClassifier;
+use crate::classifier::{batch_predictions, LinearClassifier};
 use crate::dataset::Dataset;
+use crate::isa::Isa;
 use crate::Result;
 
 /// Fraction of samples classified correctly by a weight matrix under
-/// ideal (software) evaluation.
+/// ideal (software) evaluation, scored like
+/// [`LinearClassifier::accuracy`] but without copying the matrix.
 ///
-/// Returns 0 for an empty dataset; panics only if shapes mismatch inside
-/// [`LinearClassifier`] (propagated as error).
+/// Returns 0 for an empty dataset or matrix, and when the matrix's row
+/// count differs from the dataset's feature count.
 pub fn accuracy_of_weights(weights: &Matrix, data: &Dataset) -> f64 {
-    match LinearClassifier::new(weights.clone()) {
-        Ok(c) => c.accuracy(data).unwrap_or(0.0),
-        Err(_) => 0.0,
+    if weights.rows() == 0 || weights.cols() == 0 || weights.rows() != data.num_features() {
+        return 0.0;
     }
+    accuracy_of_predictions(&batch_predictions(weights, data, Isa::host()), data)
 }
 
 /// Fraction of `data` whose label matches the given per-sample
