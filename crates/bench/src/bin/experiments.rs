@@ -1,16 +1,16 @@
 //! Command-line driver regenerating every table and figure of the paper.
 //!
 //! ```text
-//! experiments [fig2|fig3|…|table1|ext|ablation|runtime|serve|chaos|fleet|lifetime|all] [--quick|--bench]
-//!             [--json] [--metrics <path>]
+//! experiments [<name>…|all] [--quick|--bench] [--json] [--metrics <path>]
 //! ```
 //!
-//! Without a scale flag the paper-scale configuration runs (minutes);
-//! `--quick` shrinks the workloads to seconds, `--bench` further still.
-//! With `--json`, each experiment also writes its tables to
-//! `BENCH_<name>.json` in the working directory. The `runtime`, `serve`,
-//! `chaos`, `fleet`, `lifetime`, `encoding` and `training` experiments
-//! always write their `BENCH_<name>.json` (their gated numbers are the
+//! The experiment names are those of [`EXPERIMENTS`]; the usage message
+//! lists them all. Without a scale flag the paper-scale configuration
+//! runs (minutes); `--quick` shrinks the workloads to seconds, `--bench`
+//! further still. With `--json`, each experiment also writes its tables
+//! to `BENCH_<name>.json` in the working directory. Experiments whose
+//! entry carries a richer flat-field payload (`runner!(m, json)`) always
+//! write it as their `BENCH_<name>.json` (their gated numbers are the
 //! point of running them). With `--metrics <path>`, the
 //! `vortex_obs` registry snapshot — span timings, counters, gauges and
 //! the CG iteration count of every nodal solve (`xbar.cg_iterations`),
@@ -26,6 +26,53 @@ use vortex_bench::experiments::{
     lifetime, runtime, serve, table1, training,
 };
 use vortex_bench::Scale;
+use vortex_core::report::Table;
+
+/// What one experiment run prints, its tables, and the flat-field
+/// payload it always writes (`None`: its tables are written, and only
+/// under `--json`).
+type Outcome = (String, Vec<Table>, Option<String>);
+
+/// Runs one experiment at a scale.
+type Runner = fn(&Scale) -> Outcome;
+
+/// The runner of experiment module `$m`; with `json`, its `to_json()`
+/// is the payload.
+macro_rules! runner {
+    ($m:ident) => {
+        |s| {
+            let r = $m::run(s);
+            (r.render(), r.tables(), None)
+        }
+    };
+    ($m:ident, json) => {
+        |s| {
+            let r = $m::run(s);
+            (r.render(), r.tables(), Some(r.to_json()))
+        }
+    };
+}
+
+/// Every experiment, in `all` order: its command-line name and runner.
+const EXPERIMENTS: [(&str, Runner); 17] = [
+    ("fig1", runner!(fig1)),
+    ("fig2", runner!(fig2)),
+    ("fig3", runner!(fig3)),
+    ("fig4", runner!(fig4)),
+    ("fig7", runner!(fig7)),
+    ("fig8", runner!(fig8)),
+    ("fig9", runner!(fig9)),
+    ("table1", runner!(table1)),
+    ("ext", runner!(extensions)),
+    ("ablation", runner!(ablation)),
+    ("runtime", runner!(runtime, json)),
+    ("serve", runner!(serve, json)),
+    ("chaos", runner!(chaos, json)),
+    ("fleet", runner!(fleet, json)),
+    ("lifetime", runner!(lifetime, json)),
+    ("encoding", runner!(encoding, json)),
+    ("training", runner!(training, json)),
+];
 
 fn write_json(name: &str, payload: &str) {
     let path = format!("BENCH_{name}.json");
@@ -36,8 +83,10 @@ fn write_json(name: &str, payload: &str) {
 }
 
 fn usage_exit() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
     eprintln!(
-        "usage: experiments [fig1|fig2|fig3|fig4|fig7|fig8|fig9|table1|ext|ablation|runtime|serve|chaos|fleet|lifetime|encoding|training|all] [--quick|--bench] [--json] [--metrics <path>]"
+        "usage: experiments [{}|all] [--quick|--bench] [--json] [--metrics <path>]",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -80,115 +129,22 @@ fn main() {
         .map(String::as_str)
         .collect();
     let which: Vec<&str> = if which.is_empty() || which.contains(&"all") {
-        vec![
-            "fig1", "fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "table1", "ext", "ablation",
-            "runtime", "serve", "chaos", "fleet", "lifetime", "encoding", "training",
-        ]
+        EXPERIMENTS.iter().map(|&(name, _)| name).collect()
     } else {
         which
     };
 
     for name in which {
         let start = Instant::now();
-        let (output, tables) = match name {
-            "fig1" => {
-                let r = fig1::run(&scale);
-                (r.render(), r.tables())
-            }
-            "fig2" => {
-                let r = fig2::run(&scale);
-                (r.render(), r.tables())
-            }
-            "fig3" => {
-                let r = fig3::run(&scale);
-                (r.render(), r.tables())
-            }
-            "fig4" => {
-                let r = fig4::run(&scale);
-                (r.render(), r.tables())
-            }
-            "fig7" => {
-                let r = fig7::run(&scale);
-                let mut s = r.render();
-                s.push_str(&format!(
-                    "optimal gamma: before AMP {:.2}, after AMP {:.2}\n",
-                    r.best_gamma_before(),
-                    r.best_gamma_after()
-                ));
-                (s, r.tables())
-            }
-            "fig8" => {
-                let r = fig8::run(&scale);
-                (r.render(), r.tables())
-            }
-            "fig9" => {
-                let r = fig9::run(&scale);
-                let mut s = r.render();
-                s.push_str(&format!("tuned gamma: {:.2}\n", r.tuned_gamma));
-                (s, r.tables())
-            }
-            "table1" => {
-                let r = table1::run(&scale);
-                (r.render(), r.tables())
-            }
-            "ext" => {
-                let r = extensions::run(&scale);
-                (r.render(), r.tables())
-            }
-            "ablation" => {
-                let r = ablation::run(&scale);
-                (r.render(), r.tables())
-            }
-            "runtime" => {
-                let r = runtime::run(&scale);
-                write_json("runtime", &r.to_json());
-                (r.render(), r.tables())
-            }
-            "serve" => {
-                let r = serve::run(&scale);
-                write_json("serve", &r.to_json());
-                (r.render(), r.tables())
-            }
-            "chaos" => {
-                let r = chaos::run(&scale);
-                write_json("chaos", &r.to_json());
-                (r.render(), r.tables())
-            }
-            "fleet" => {
-                let r = fleet::run(&scale);
-                write_json("fleet", &r.to_json());
-                (r.render(), r.tables())
-            }
-            "lifetime" => {
-                let r = lifetime::run(&scale);
-                write_json("lifetime", &r.to_json());
-                (r.render(), r.tables())
-            }
-            "encoding" => {
-                let r = encoding::run(&scale);
-                write_json("encoding", &r.to_json());
-                (r.render(), r.tables())
-            }
-            "training" => {
-                let r = training::run(&scale);
-                write_json("training", &r.to_json());
-                (r.render(), r.tables())
-            }
-            other => {
-                eprintln!("unknown experiment `{other}`");
-                usage_exit();
-            }
+        let Some(&(_, runner)) = EXPERIMENTS.iter().find(|&&(n, _)| n == name) else {
+            eprintln!("unknown experiment `{name}`");
+            usage_exit();
         };
-        // `runtime`, `serve`, `chaos`, `fleet`, `lifetime`, `encoding`
-        // and `training` already wrote their richer flat-field payloads
-        // above.
-        if json
-            && !matches!(
-                name,
-                "runtime" | "serve" | "chaos" | "fleet" | "lifetime" | "encoding" | "training"
-            )
-        {
-            write_json(name, &tables_to_json(&tables));
+        let (output, tables, payload) = runner(&scale);
+        match payload {
+            Some(payload) => write_json(name, &payload),
+            None if json => write_json(name, &tables_to_json(&tables)),
+            None => {}
         }
         println!("{output}");
         println!("[{name} finished in {:.1?}]\n", start.elapsed());

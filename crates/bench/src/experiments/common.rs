@@ -1,4 +1,6 @@
-//! Shared experiment scaffolding: scales, dataset preparation, trainers.
+//! Shared experiment scaffolding: scales, datasets, trainers, meters.
+
+use std::time::Instant;
 
 use vortex_core::report::Table;
 use vortex_core::vat::VatTrainer;
@@ -6,6 +8,7 @@ use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_nn::dataset::{Dataset, DatasetConfig, SynthDigits};
 use vortex_nn::gdt::GdtTrainer;
 use vortex_nn::split::stratified_split;
+use vortex_serve::{SchedulerConfig, Ticket};
 
 /// How big an experiment run is.
 ///
@@ -152,6 +155,41 @@ pub fn tables_to_json(tables: &[Table]) -> String {
     }
     out.push(']');
     out
+}
+
+/// Meters a real server as repeated pure queue drains, in requests/sec.
+/// Each pass `build`s a fresh server paused under `config` (its pool and
+/// batching) with room for the whole trace, `submit`s the trace, and
+/// times `resume` → last response. Tickets are waited back to front, so
+/// the clock measures the server, not one thread park per request.
+/// Passes repeat until 0.15 s of drain time; `shutdown` runs off the
+/// clock.
+pub fn meter_drains<S>(
+    trace: &[Vec<f64>],
+    config: SchedulerConfig,
+    build: impl Fn(SchedulerConfig) -> S,
+    submit: impl Fn(&S, u64, Vec<f64>) -> Ticket,
+    resume: impl Fn(&S),
+    shutdown: impl Fn(&S),
+) -> f64 {
+    let mut drained_s = 0.0;
+    let mut served = 0usize;
+    while drained_s < 0.15 {
+        let server = build(config.clone().with_queue_capacity(trace.len()).paused());
+        let tickets: Vec<Ticket> = (0..)
+            .zip(trace)
+            .map(|(k, x)| submit(&server, k, x.clone()))
+            .collect();
+        let start = Instant::now();
+        resume(&server);
+        for ticket in tickets.into_iter().rev() {
+            ticket.wait().expect("drain answers every request");
+        }
+        drained_s += start.elapsed().as_secs_f64();
+        served += trace.len();
+        shutdown(&server);
+    }
+    served as f64 / drained_s
 }
 
 /// Whether `json` carries `key` as an object key — the payload-shape

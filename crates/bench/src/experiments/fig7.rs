@@ -72,7 +72,13 @@ impl Fig7Result {
 
     /// Renders the figure as a text table.
     pub fn render(&self) -> String {
-        super::common::render_tables(&self.tables())
+        let mut out = super::common::render_tables(&self.tables());
+        out.push_str(&format!(
+            "optimal gamma: before AMP {:.2}, after AMP {:.2}\n",
+            self.best_gamma_before(),
+            self.best_gamma_after()
+        ));
+        out
     }
 }
 

@@ -72,7 +72,9 @@ impl Fig9Result {
 
     /// Renders the figure as a text table.
     pub fn render(&self) -> String {
-        super::common::render_tables(&self.tables())
+        let mut out = super::common::render_tables(&self.tables());
+        out.push_str(&format!("tuned gamma: {:.2}\n", self.tuned_gamma));
+        out
     }
 }
 

@@ -21,21 +21,21 @@
 //!   discrete-event simulation: seeded arrivals from
 //!   [`traffic`](crate::traffic) (Poisson at 1×, a square-wave 2×
 //!   overload burst), the *real* [`Router`] deciding placement (the
-//!   same code path live serving runs), and five single-server queues
-//!   with micro-batching at fixed virtual service costs. No wall clock
-//!   anywhere, so p50/p99/p999, shed rates and per-tenant goodput are
-//!   bit-identical on every run — the experiment's tables are a pure
-//!   function of the seed.
+//!   same code path live serving runs), and five bounded queues in
+//!   front of five [`sim`] workers — the workspace's one micro-batching
+//!   service-cost model. No wall clock anywhere, so p50/p99/p999, shed
+//!   rates and per-tenant goodput are bit-identical on every run — the
+//!   experiment's tables are a pure function of the seed.
 //! * **Measured goodput** — the one wall-clock number: a real five
 //!   replica [`Fleet`] on the process worker pool drains a prefilled
-//!   backlog, metered exactly like the `serve` experiment. Gated as
+//!   backlog through the shared drain meter ([`meter_drains`]), batching
+//!   at the simulated workers' batch ceiling. Gated as
 //!   `fleet_goodput_samples_per_sec` with the usual noise margin; it is
 //!   a flat JSON field only, never a table cell, so the determinism
 //!   contract on tables holds.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use vortex_core::amp::greedy::RowMapping;
 use vortex_core::pipeline::HardwareEnv;
@@ -47,9 +47,10 @@ use vortex_linalg::stats::percentile;
 use vortex_nn::dataset::{DatasetConfig, SynthDigits};
 use vortex_nn::executor::Parallelism;
 use vortex_runtime::CompiledModel;
-use vortex_serve::{SchedulerConfig, Ticket};
+use vortex_serve::SchedulerConfig;
 
-use super::common::Scale;
+use super::common::{meter_drains, Scale};
+use crate::sim::{self, sorted_latencies, Worker};
 use crate::traffic::{ArrivalProcess, Request, Tenant, Workload};
 
 /// Replicas in the fleet — five distinct simulated chips.
@@ -62,13 +63,7 @@ const EVAL_PER_CLASS: usize = 60;
 /// Fabrication-seed stream tag for the replica compiles.
 const REPLICA_SEED_TAG: u64 = 0xF1EE7;
 
-// ---- virtual-time simulation constants (virtual seconds) ----
-/// Fixed per-batch dispatch overhead.
-const T_BATCH: f64 = 4.0e-4;
-/// Fixed per-sample service cost.
-const T_SAMPLE: f64 = 1.0e-4;
-/// Micro-batch ceiling of a simulated replica.
-const SIM_MAX_BATCH: usize = 16;
+// ---- virtual-time scenarios (virtual seconds) ----
 /// Per-replica queue capacity; arrivals beyond it are shed.
 const SIM_QUEUE_CAP: usize = 64;
 /// 1× offered load, arrivals/s — 70% of the fleet's 40 000/s ceiling
@@ -338,66 +333,12 @@ fn tenant_mix() -> Vec<Tenant> {
     ]
 }
 
-/// One simulated replica: a single server with micro-batching at fixed
-/// virtual costs behind a bounded queue.
-struct SimReplica {
-    busy_until: f64,
-    queue: VecDeque<Request>,
-}
-
-/// A completed request: when it finished and whether it made its
-/// deadline.
-struct Completion {
-    latency: f64,
-    on_time: bool,
-    tenant: usize,
-}
-
-impl SimReplica {
-    fn new() -> Self {
-        Self {
-            busy_until: 0.0,
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Runs every batch that *starts* before virtual time `t`. The
-    /// server is non-idling: whenever it frees up it takes whatever has
-    /// arrived (up to [`SIM_MAX_BATCH`]); requests arriving mid-batch
-    /// wait for the next one.
-    fn advance(&mut self, t: f64, completions: &mut Vec<Completion>) {
-        while let Some(head) = self.queue.front() {
-            let start = self.busy_until.max(head.time);
-            if start >= t {
-                break;
-            }
-            let batch = self
-                .queue
-                .iter()
-                .take(SIM_MAX_BATCH)
-                .take_while(|r| r.time <= start)
-                .count();
-            let done = start + T_BATCH + batch as f64 * T_SAMPLE;
-            for _ in 0..batch {
-                let req = self.queue.pop_front().expect("counted above");
-                completions.push(Completion {
-                    latency: done - req.time,
-                    on_time: req.deadline.map_or(true, |d| done <= d),
-                    tenant: req.tenant,
-                });
-            }
-            self.busy_until = done;
-        }
-    }
-}
-
-/// Replays one arrival trace through the real [`Router`] and the
-/// virtual-time replicas. Everything is a pure function of the trace
-/// and the policy — no wall clock, no threads.
+/// Replays one arrival trace through the real [`Router`] and one
+/// [`Worker`] per replica, shedding arrivals at a full queue.
 fn simulate(policy: RoutingPolicy, name: &'static str, trace: &[Request]) -> SimRow {
     let router = Router::new(policy, REPLICAS).expect("non-empty fleet");
     let routable = vec![true; REPLICAS];
-    let mut replicas: Vec<SimReplica> = (0..REPLICAS).map(|_| SimReplica::new()).collect();
+    let mut replicas: Vec<Worker> = (0..REPLICAS).map(|_| Worker::default()).collect();
     let mut completions = Vec::with_capacity(trace.len());
     let mut shed = 0usize;
     let mut tenant_counts = vec![(0usize, 0usize); tenant_mix().len()];
@@ -405,28 +346,25 @@ fn simulate(policy: RoutingPolicy, name: &'static str, trace: &[Request]) -> Sim
         for r in &mut replicas {
             r.advance(req.time, &mut completions);
         }
-        let depths: Vec<usize> = replicas.iter().map(|r| r.queue.len()).collect();
+        let depths: Vec<usize> = replicas.iter().map(Worker::queue_len).collect();
         let target = router
             .route(i as u64, &routable, &depths)
             .expect("all replicas routable");
         tenant_counts[req.tenant].0 += 1;
-        if replicas[target].queue.len() >= SIM_QUEUE_CAP {
+        if depths[target] >= SIM_QUEUE_CAP {
             shed += 1;
         } else {
-            replicas[target].queue.push_back(req.clone());
+            replicas[target].push(req.clone());
         }
     }
     for r in &mut replicas {
         r.advance(f64::INFINITY, &mut completions);
     }
-    let mut latencies: Vec<f64> = completions.iter().map(|c| c.latency).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let latencies = sorted_latencies(&completions);
     let mut on_time = 0usize;
-    for c in &completions {
-        if c.on_time {
-            on_time += 1;
-            tenant_counts[c.tenant].1 += 1;
-        }
+    for c in completions.iter().filter(|c| c.on_time) {
+        on_time += 1;
+        tenant_counts[c.tenant].1 += 1;
     }
     SimRow {
         policy: name,
@@ -453,46 +391,6 @@ fn simulate_scenario(process: ArrivalProcess) -> Vec<SimRow> {
     .into_iter()
     .map(|(policy, name)| simulate(policy, name, &trace))
     .collect()
-}
-
-/// Meters the real fleet as repeated pure queue drains (the `serve`
-/// experiment's meter, fleet-wide): prefill every paused replica round
-/// robin, then time `resume_all()` → last response.
-fn meter_fleet(models: &[(u64, Arc<CompiledModel>)], trace: &[Vec<f64>]) -> f64 {
-    let floor_s = 0.15;
-    let mut drained_s = 0.0;
-    let mut served = 0usize;
-    while drained_s < floor_s {
-        let fleet = Fleet::new(
-            models.to_vec(),
-            FleetConfig::new(RoutingPolicy::RoundRobin).with_scheduler(
-                SchedulerConfig::new(Parallelism::Fixed(1))
-                    .with_queue_capacity(trace.len())
-                    .with_batching(SIM_MAX_BATCH, Duration::ZERO)
-                    .paused(),
-            ),
-        )
-        .expect("replicas share one shape");
-        let tickets: Vec<Ticket> = trace
-            .iter()
-            .enumerate()
-            .map(|(k, x)| {
-                fleet
-                    .submit(k as u64, x.clone(), None)
-                    .expect("prefill fits the queues")
-                    .1
-            })
-            .collect();
-        let start = Instant::now();
-        fleet.resume_all();
-        for ticket in tickets.into_iter().rev() {
-            ticket.wait().expect("drain answers every request");
-        }
-        drained_s += start.elapsed().as_secs_f64();
-        served += trace.len();
-        fleet.shutdown();
-    }
-    served as f64 / drained_s
 }
 
 /// Runs the experiment: accuracy sweep, virtual-time load scenarios,
@@ -569,7 +467,19 @@ pub fn run(scale: &Scale) -> FleetResult {
     let meter_trace: Vec<Vec<f64>> = (0..METER_TRACE)
         .map(|k| eval.image(k % eval.len()).to_vec())
         .collect();
-    let goodput_sps = meter_fleet(&high_sigma_models, &meter_trace);
+    // The real fleet, prefilled round robin, batching like a simulated
+    // worker.
+    let goodput_sps = meter_drains(
+        &meter_trace,
+        SchedulerConfig::new(Parallelism::Fixed(1)).with_batching(sim::MAX_BATCH, Duration::ZERO),
+        |config| {
+            let config = FleetConfig::new(RoutingPolicy::RoundRobin).with_scheduler(config);
+            Fleet::new(high_sigma_models.clone(), config).expect("replicas share one shape")
+        },
+        |fleet, k, x| fleet.submit(k, x, None).expect("prefill fits the queues").1,
+        Fleet::resume_all,
+        Fleet::shutdown,
+    );
 
     FleetResult {
         replicas: REPLICAS,

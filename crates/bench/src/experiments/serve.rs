@@ -33,9 +33,9 @@ use vortex_core::pipeline::{HardwareEnv, ReadFidelity};
 use vortex_core::report::{fixed, Table};
 use vortex_nn::executor::Parallelism;
 use vortex_runtime::CompiledModel;
-use vortex_serve::{Scheduler, SchedulerConfig, ServeError, Ticket};
+use vortex_serve::{Scheduler, SchedulerConfig, ServeError};
 
-use super::common::Scale;
+use super::common::{meter_drains, Scale};
 
 /// Pool size of the pooled scenario.
 const POOL: usize = 4;
@@ -195,51 +195,6 @@ fn meter_closed_loop(model: &Arc<CompiledModel>, trace: &[Vec<f64>]) -> f64 {
     }
 }
 
-/// Meters one pooled scheduler configuration as repeated pure queue
-/// drains: prefill the paused queue with the whole trace, then time
-/// `resume()` → last response, repeating passes until a wall-clock floor.
-fn meter(
-    model: &Arc<CompiledModel>,
-    trace: &[Vec<f64>],
-    pool: Parallelism,
-    max_batch: usize,
-) -> f64 {
-    let floor_s = 0.15;
-    let mut drained_s = 0.0;
-    let mut served = 0usize;
-    while drained_s < floor_s {
-        let scheduler = Scheduler::new(
-            Arc::clone(model),
-            None,
-            SchedulerConfig::new(pool)
-                .with_queue_capacity(trace.len())
-                .with_batching(max_batch, Duration::ZERO)
-                .paused(),
-        )
-        .expect("valid scheduler config");
-        let tickets: Vec<Ticket> = trace
-            .iter()
-            .map(|x| {
-                scheduler
-                    .try_submit(x.clone(), None)
-                    .expect("prefill fits the queue")
-            })
-            .collect();
-        let start = Instant::now();
-        scheduler.resume();
-        // Wait back-to-front: the last response lands near the end of the
-        // drain, so the remaining waits find their channel already filled
-        // and the meter measures the scheduler, not 256 thread parks.
-        for ticket in tickets.into_iter().rev() {
-            ticket.wait().expect("drain answers every request");
-        }
-        drained_s += start.elapsed().as_secs_f64();
-        served += trace.len();
-        scheduler.shutdown();
-    }
-    served as f64 / drained_s
-}
-
 /// Runs the experiment: compile once, meter serial vs pooled drains, then
 /// the deterministic degradation burst.
 ///
@@ -279,7 +234,18 @@ pub fn run(scale: &Scale) -> ServeResult {
         .map(|k| test.image(k % test.len()).to_vec())
         .collect();
     let serial_sps = meter_closed_loop(&calibrated, &trace);
-    let pooled_sps = meter(&calibrated, &trace, Parallelism::Fixed(POOL), MAX_BATCH);
+    let pooled_sps = meter_drains(
+        &trace,
+        SchedulerConfig::new(Parallelism::Fixed(POOL)).with_batching(MAX_BATCH, Duration::ZERO),
+        |config| Scheduler::new(Arc::clone(&calibrated), None, config).expect("valid config"),
+        |scheduler, _, x| {
+            scheduler
+                .try_submit(x, None)
+                .expect("prefill fits the queue")
+        },
+        Scheduler::resume,
+        Scheduler::shutdown,
+    );
 
     let (exact_served, degraded_served, rejected_full, recovered) =
         degradation_burst(&exact, &calibrated, &trace);

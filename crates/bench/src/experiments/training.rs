@@ -11,19 +11,18 @@
 //!   the test-set accuracy delta `training_recovery_delta_pp` is pinned
 //!   **exactly 0** by `bench/baseline_training.json` — any recovery
 //!   drift, however small, fails CI outright.
-//! * **Tail under co-residency** — a virtual-time discrete-event
-//!   simulation of one shared worker: seeded Poisson inference arrivals
-//!   (70% load) contend with training mini-epochs under the job
-//!   engine's high/low-water yield discipline, against two controls
-//!   (inference alone; a greedy trainer that never yields). The gated
-//!   ceiling `training_p99_inflation_x` caps the p99 inflation the
+//! * **Tail under co-residency** — one [`sim`](crate::sim) worker
+//!   replays seeded Poisson inference arrivals (70% load) next to a
+//!   co-resident trainer whose mini-epochs park behind the job engine's
+//!   own [`YieldGate`], against two controls (inference alone; a greedy
+//!   trainer that never yields). The gated ceiling
+//!   `training_p99_inflation_x` caps the p99 inflation the
 //!   *yielding* trainer may impose over inference running alone; the
 //!   greedy row documents what the priority class is buying. No wall
 //!   clock anywhere — every number in the payload is a pure function of
 //!   the seeds, so `BENCH_training.json` is bit-identical at any
 //!   `VORTEX_MC_THREADS` / `VORTEX_POOL_THREADS` setting.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,11 +34,11 @@ use vortex_nn::dataset::Dataset;
 use vortex_nn::metrics::accuracy_of_weights;
 use vortex_nn::pool::WorkerPool;
 use vortex_serve::chaos::{ChaosConfig, ChaosPlan};
-use vortex_serve::Hysteresis;
-use vortex_train::{JobConfig, JobReport, TrainerConfig, TrainingJob};
+use vortex_train::{JobConfig, JobReport, TrainerConfig, TrainingJob, YieldGate};
 
 use super::common::Scale;
-use crate::traffic::{ArrivalProcess, TrafficGen};
+use crate::sim::{sorted_latencies, Worker};
+use crate::traffic::{ArrivalProcess, Request, TrafficGen};
 
 /// Seed of the chaos plan injecting kills and checkpoint bit flips.
 const CHAOS_SEED: u64 = 41;
@@ -51,13 +50,7 @@ const CHECKPOINT_EVERY: u64 = 3;
 /// from `VORTEX_POOL_THREADS`, so the payload cannot depend on it.
 const RECOVERY_POOL: usize = 2;
 
-// ---- virtual-time co-residency constants (virtual seconds) ----
-/// Fixed per-batch dispatch overhead.
-const T_BATCH: f64 = 4.0e-4;
-/// Fixed per-sample service cost.
-const T_SAMPLE: f64 = 1.0e-4;
-/// Micro-batch ceiling of the simulated worker.
-const SIM_MAX_BATCH: usize = 16;
+// ---- virtual-time co-residency scenario (virtual seconds) ----
 /// Offered inference load, arrivals/s — 70% of the worker's 8 000/s
 /// ceiling (16 samples per 2 ms batch).
 const RATE: f64 = 5_600.0;
@@ -240,56 +233,19 @@ impl TrainingResult {
     }
 }
 
-/// Replays one arrival trace through a single simulated worker shared
-/// with a training job. Whenever the worker frees up, the trainer takes
-/// it for one `T_EPOCH` mini-epoch unless it has parked (queue depth
-/// reached [`HIGH_WATER`]; it unparks at [`LOW_WATER`] — the job
-/// engine's hysteresis); otherwise the worker serves one micro-batch of
-/// everything already arrived. A greedy trainer (`yields == false`)
-/// never parks. Pure virtual time — no wall clock, no threads.
-fn simulate(trace: &[f64], scenario: &'static str, epochs: usize, yields: bool) -> SimRow {
-    let mut t = 0.0_f64;
-    let mut idx = 0usize;
-    let mut queue: VecDeque<f64> = VecDeque::new();
-    let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut epochs_left = epochs;
-    let mut band = Hysteresis::new(HIGH_WATER, LOW_WATER).expect("valid watermarks");
-    let mut train_done = 0.0_f64;
-    loop {
-        while idx < trace.len() && trace[idx] <= t {
-            queue.push_back(trace[idx]);
-            idx += 1;
-        }
-        band.observe(queue.len());
-        if epochs_left > 0 && (!yields || !band.is_degraded()) {
-            t += T_EPOCH;
-            epochs_left -= 1;
-            if epochs_left == 0 {
-                train_done = t;
-            }
-            continue;
-        }
-        if !queue.is_empty() {
-            let n = queue.len().min(SIM_MAX_BATCH);
-            let done = t + T_BATCH + n as f64 * T_SAMPLE;
-            for _ in 0..n {
-                let arrived = queue.pop_front().expect("counted above");
-                latencies.push(done - arrived);
-            }
-            t = done;
-            continue;
-        }
-        if idx < trace.len() {
-            t = trace[idx];
-            continue;
-        }
-        break;
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+/// Replays one arrival trace through a single [`sim`](crate::sim)
+/// worker shared with a trainer wanting `epochs` mini-epochs of
+/// [`T_EPOCH`]. A yielding trainer parks behind a [`YieldGate`] at
+/// [`HIGH_WATER`] and resumes at [`LOW_WATER`]; a greedy one never
+/// parks.
+fn simulate(trace: &[Request], scenario: &'static str, epochs: usize, yields: bool) -> SimRow {
+    let gate = yields.then(|| YieldGate::new(HIGH_WATER, LOW_WATER).expect("valid watermarks"));
+    let mut worker = Worker::default().with_trainer(T_EPOCH, epochs, gate);
+    let latencies = sorted_latencies(&worker.replay(trace));
     SimRow {
         scenario,
         arrivals: trace.len(),
-        train_done_ms: 1e3 * train_done,
+        train_done_ms: 1e3 * worker.train_done(),
         p50_ms: 1e3 * percentile(&latencies, 50.0),
         p99_ms: 1e3 * percentile(&latencies, 99.0),
     }
@@ -368,8 +324,13 @@ pub fn run(scale: &Scale) -> TrainingResult {
     };
     let recovery_delta_pp = (clean.accuracy - recovered.accuracy) * 100.0;
 
-    let trace: Vec<f64> = TrafficGen::new(ArrivalProcess::poisson(RATE), TRAFFIC_SEED)
+    let trace: Vec<Request> = TrafficGen::new(ArrivalProcess::poisson(RATE), TRAFFIC_SEED)
         .take_while(|&t| t < HORIZON)
+        .map(|time| Request {
+            time,
+            tenant: 0,
+            deadline: None,
+        })
         .collect();
     let sims = vec![
         simulate(&trace, "inference alone", 0, true),

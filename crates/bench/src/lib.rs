@@ -28,6 +28,7 @@
 
 pub mod experiments;
 pub mod gate;
+pub mod sim;
 pub mod traffic;
 
 pub use experiments::common::Scale;

@@ -564,3 +564,22 @@ fn metrics_flag_writes_a_snapshot_covering_every_instrumented_layer() {
     assert!(avx2 == 0.0 || avx2 == 1.0, "nn.avx2 = {avx2}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn usage_names_every_experiment() {
+    let (_, stderr, ok) = run(&["no-such-experiment"]);
+    assert!(!ok);
+    let usage = stderr
+        .lines()
+        .find(|l| l.starts_with("usage:"))
+        .expect("usage line on stderr");
+    let (_, rest) = usage.split_once('[').expect("bracketed name list");
+    let (list, _) = rest.split_once(']').expect("bracketed name list");
+    let names: Vec<&str> = list.split('|').collect();
+    for name in [
+        "fig1", "fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "table1", "ext", "ablation",
+        "runtime", "serve", "chaos", "fleet", "lifetime", "encoding", "training", "all",
+    ] {
+        assert!(names.contains(&name), "usage omits {name}: {usage}");
+    }
+}

@@ -12,6 +12,13 @@ use vortex_linalg::rng::SplitMix64;
 
 use crate::{Result, ServeError};
 
+/// Bounded doubling, `min(base · 2ᵏ, cap)` without overflow for any
+/// `k`: the backoff of submit retries, pump respawns and job restarts.
+pub fn bounded_doubling(base: Duration, k: u32, cap: Duration) -> Duration {
+    base.saturating_mul(1u32.checked_shl(k).unwrap_or(u32::MAX))
+        .min(cap)
+}
+
 /// A bounded exponential-backoff retry policy.
 ///
 /// Attempt `k` (zero-based) sleeps `min(base · 2ᵏ, max)` before
@@ -95,11 +102,7 @@ impl RetryPolicy {
         if attempt + 1 >= self.max_attempts {
             return None;
         }
-        let doubled = self
-            .base
-            .checked_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
-            .unwrap_or(self.max);
-        let ceiling = doubled.min(self.max);
+        let ceiling = bounded_doubling(self.base, attempt, self.max);
         let Some(seed) = self.jitter_seed else {
             return Some(ceiling);
         };

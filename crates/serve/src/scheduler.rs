@@ -79,7 +79,7 @@ use vortex_runtime::{CompiledModel, Fidelity, RuntimeError};
 
 use crate::chaos::ChaosPlan;
 use crate::degradation::{Hysteresis, Transition};
-use crate::retry::RetryPolicy;
+use crate::retry::{bounded_doubling, RetryPolicy};
 use crate::{Result, ServeError};
 
 /// How the scheduler answers one admitted request.
@@ -718,11 +718,7 @@ fn pump_loop(shared: &Arc<Shared>) {
             vortex_obs::counter!("serve.worker_panics").incr();
             requeue_unanswered(shared, &mut batch);
             let crashes = shared.crashes.fetch_add(1, Ordering::Relaxed);
-            let backoff = shared
-                .respawn_base
-                .checked_mul(1 << crashes.min(6))
-                .unwrap_or(shared.respawn_cap)
-                .min(shared.respawn_cap);
+            let backoff = bounded_doubling(shared.respawn_base, crashes.min(6), shared.respawn_cap);
             if shared.state.lock().expect("queue lock").closed {
                 // Shutdown answers the requeued leftovers; don't resume.
                 let mut state = shared.state.lock().expect("queue lock");

@@ -5,12 +5,11 @@
 //! on the shared [`WorkerPool`] — the *same* pool that serves inference
 //! batches — under three production disciplines:
 //!
-//! * **Priority classes.** Inference outranks training. Between
-//!   mini-epochs the job consults the serving [`Scheduler`]'s
-//!   [`queue_depth`](Scheduler::queue_depth): at or above
-//!   [`JobConfig::high_water`] it parks until the backlog drains to
-//!   [`JobConfig::low_water`] (the same [`Hysteresis`] band that drives
-//!   the scheduler's degradation ladder). Training never preempts a
+//! * **Priority classes.** Inference outranks training. Before every
+//!   mini-epoch the job feeds the serving [`Scheduler`]'s
+//!   [`queue_depth`](Scheduler::queue_depth) to its [`YieldGate`]: at
+//!   or above [`JobConfig::high_water`] it parks until the backlog
+//!   drains to [`JobConfig::low_water`]. Training never preempts a
 //!   pending prediction — it simply declines to enqueue its next unit.
 //! * **Checkpoint/resume.** Every [`JobConfig::checkpoint_every`]
 //!   epochs the stepper's full state is frozen into a
@@ -50,14 +49,42 @@ use vortex_runtime::TrainingCheckpoint;
 use vortex_serve::chaos::ChaosPlan;
 use vortex_serve::health::{HealthConfig, HealthMonitor, ProbeOutcome};
 use vortex_serve::lifetime::{PolicyObservation, RecalibrationPolicy};
+use vortex_serve::retry::bounded_doubling;
 use vortex_serve::scheduler::Scheduler;
-use vortex_serve::{Hysteresis, Transition};
+use vortex_serve::Hysteresis;
 
 use crate::stepper::{DeltaStepper, TrainerConfig};
 use crate::{Result, TrainError};
 
 /// File names of the two alternating checkpoint slots.
 const SLOT_FILES: [&str; 2] = ["ckpt_a.vxck", "ckpt_b.vxck"];
+
+/// Poll interval of a job parked behind its [`YieldGate`].
+const YIELD_POLL: Duration = Duration::from_millis(1);
+
+/// The training-yield rule, run by [`TrainingJob`] and by the bench's
+/// simulated trainer: park once the serving backlog reaches
+/// `high_water`, resume once it drains to `low_water` (a [`Hysteresis`]
+/// band, like the scheduler's degradation ladder).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct YieldGate {
+    band: Hysteresis,
+}
+
+impl YieldGate {
+    /// A gate parking at `high_water` (at least 1) and resuming at
+    /// `low_water`; `None` when `low_water > high_water.max(1)`.
+    pub fn new(high_water: usize, low_water: usize) -> Option<Self> {
+        Hysteresis::new(high_water.max(1), low_water).map(|band| Self { band })
+    }
+
+    /// Feeds one observed backlog depth through the rule: whether the
+    /// trainer is parked, i.e. must not start a mini-epoch.
+    pub fn parked(&mut self, depth: usize) -> bool {
+        self.band.observe(depth);
+        self.band.is_degraded()
+    }
+}
 
 /// Configuration of a [`TrainingJob`].
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +109,6 @@ pub struct JobConfig {
     pub high_water: usize,
     /// Queue depth the backlog must drain to before training resumes.
     pub low_water: usize,
-    /// Poll interval while parked behind the high-water mark.
-    pub yield_poll: Duration,
 }
 
 impl JobConfig {
@@ -100,7 +125,6 @@ impl JobConfig {
             restart_cap: Duration::from_millis(64),
             high_water: 64,
             low_water: 8,
-            yield_poll: Duration::from_millis(1),
         }
     }
 
@@ -398,21 +422,21 @@ impl TrainingJob {
         rx.recv().map_err(|_| ())?
     }
 
-    /// Parks the job once the serving backlog reaches the high-water
-    /// mark; resumes once it drains to the low-water mark.
+    /// Parks the job behind its [`YieldGate`] while the serving backlog
+    /// says so.
     fn yield_for_inference(&self, yields: &mut u64) {
         let Some(scheduler) = &self.scheduler else {
             return;
         };
-        let mut band = Hysteresis::new(self.config.high_water.max(1), self.config.low_water)
-            .expect("validated config: low_water <= high_water, and max(1) rules out 0");
-        if band.observe(scheduler.queue_depth()) != Transition::Entered {
+        let mut gate = YieldGate::new(self.config.high_water, self.config.low_water)
+            .expect("validated config: low_water <= high_water");
+        if !gate.parked(scheduler.queue_depth()) {
             return;
         }
         *yields += 1;
         vortex_obs::counter!("train.yields").incr();
-        while band.observe(scheduler.queue_depth()) != Transition::Exited {
-            std::thread::sleep(self.config.yield_poll);
+        while gate.parked(scheduler.queue_depth()) {
+            std::thread::sleep(YIELD_POLL);
         }
     }
 
@@ -483,10 +507,10 @@ impl TrainingJob {
     }
 }
 
-/// Bounded exponential backoff: `min(base · 2^(restarts−1), cap)`.
+/// Restart backoff: `min(base · 2^(restarts−1), cap)`, the exponent
+/// clamped at 16.
 fn backoff(base: Duration, cap: Duration, restarts: u32) -> Duration {
-    let doubled = base.saturating_mul(1u32 << restarts.saturating_sub(1).min(16));
-    doubled.min(cap)
+    bounded_doubling(base, restarts.saturating_sub(1).min(16), cap)
 }
 
 #[cfg(test)]

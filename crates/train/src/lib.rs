@@ -42,7 +42,7 @@
 pub mod job;
 pub mod stepper;
 
-pub use job::{JobConfig, JobReport, TrainingJob};
+pub use job::{JobConfig, JobReport, TrainingJob, YieldGate};
 pub use stepper::{DeltaStepper, TrainerConfig};
 
 /// Canonical imports for training jobs:
