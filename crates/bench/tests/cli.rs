@@ -191,6 +191,10 @@ fn chaos_writes_a_payload_the_reliability_gate_accepts() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Self-healing chaos"));
     assert!(stdout.contains("wrote BENCH_chaos.json"));
+    // Injected pump panics are contained, expected faults: they unwind
+    // without the panic hook, so nothing reaches stderr.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "noisy chaos faults: {stderr}");
 
     // The payload must pass the checked-in reliability baseline the CI
     // chaos-smoke step gates with: zero lost requests (exact) and a
@@ -390,6 +394,12 @@ fn training_writes_a_payload_the_recovery_gate_accepts() {
     assert!(stdout.contains("Crash recovery at equal seed"));
     assert!(stdout.contains("co-resident trainer"));
     assert!(stdout.contains("wrote BENCH_training.json"));
+    // Injected training kills unwind without the panic hook.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("panicked"),
+        "noisy training kills: {stderr}"
+    );
 
     let json = std::fs::read_to_string(dir.join("BENCH_training.json")).expect("payload written");
     // The exactness pin must hold (bit-identical recovery means the

@@ -25,9 +25,11 @@
 //! every epoch). This matches the paper's own analytical treatment
 //! (Eq. (2)) while keeping the paper-scale experiments tractable.
 //!
-//! The per-sample update loop itself is [`DeltaRule::epoch`], the one
-//! delta-rule kernel in the workspace: [`CldTrainer`] runs it, and so
-//! does `vortex_train`'s resumable stepper.
+//! The per-sample update loop itself is [`DeltaRule::epoch_until`], the
+//! one delta-rule kernel in the workspace. [`CldTrainer`] runs whole
+//! passes of it through [`DeltaRule::epoch`]. `vortex_train`'s resumable
+//! stepper runs it too, and can cut a pass into slices that yield the
+//! shared worker pool between samples.
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
@@ -313,12 +315,44 @@ pub struct DeltaRule<'a> {
     pub w_max: f64,
 }
 
+/// How far a sliced pass of [`DeltaRule::epoch_until`] has got through
+/// its `order`: the samples already applied and the running squared
+/// sensed-error sum over them. The default is the start of a pass.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EpochProgress {
+    /// Samples of `order` already applied.
+    pub done: usize,
+    /// Running sum of squared sensed errors over those samples, in
+    /// sample order.
+    pub sq_err: f64,
+}
+
 impl DeltaRule<'_> {
-    /// Runs one pass of per-sample delta-rule updates over `train` in
-    /// `order` against `weights` (`features × classes`), and returns the
-    /// mean squared sensed error of the pass.
+    /// Runs one whole pass of per-sample delta-rule updates over `train`
+    /// in `order` against `weights` (`features × classes`), and returns
+    /// the mean squared sensed error of the pass: [`Self::epoch_until`]
+    /// never preempted.
     ///
-    /// The pass allocates two class-length buffers and nothing per
+    /// # Panics
+    ///
+    /// See [`Self::epoch_until`].
+    pub fn epoch(&self, weights: &mut Matrix, train: &Dataset, order: &[usize]) -> f64 {
+        let mut progress = EpochProgress::default();
+        self.epoch_until(weights, train, order, &mut progress, || false)
+            .expect("a pass that is never preempted completes")
+    }
+
+    /// Continues a pass over `order` from `progress` until the pass
+    /// completes or `preempt` asks it to stop. Returns the pass's mean
+    /// squared sensed error once the last sample is applied, `None`
+    /// when preempted.
+    ///
+    /// `preempt` is polled before each sample but the call's first, so
+    /// every call applies at least one sample. The error sum is carried
+    /// in `progress` in sample order, so a pass cut into any slices
+    /// gives the weights and the error of the whole pass, bit for bit.
+    ///
+    /// A slice allocates two class-length buffers and nothing per
     /// sample. Each sample's output is `x·W` accumulated row by row, in
     /// the same order as [`Matrix::vecmat`]. The update then walks each
     /// contiguous weight row once, across every class off target. Cells
@@ -328,8 +362,16 @@ impl DeltaRule<'_> {
     /// # Panics
     ///
     /// Panics if `weights`, `update_scale`, `irdrop_profile` and `train`
-    /// disagree on shape, or if an `order` index is out of bounds.
-    pub fn epoch(&self, weights: &mut Matrix, train: &Dataset, order: &[usize]) -> f64 {
+    /// disagree on shape, if an `order` index is out of bounds, or if
+    /// `progress` is past the end of `order`.
+    pub fn epoch_until(
+        &self,
+        weights: &mut Matrix,
+        train: &Dataset,
+        order: &[usize],
+        progress: &mut EpochProgress,
+        mut preempt: impl FnMut() -> bool,
+    ) -> Option<f64> {
         let (n, c) = (weights.rows(), weights.cols());
         assert_eq!(n, train.num_features(), "DeltaRule: feature mismatch");
         assert_eq!(
@@ -344,14 +386,23 @@ impl DeltaRule<'_> {
                 "DeltaRule: IR-drop profile shape mismatch"
             );
         }
+        assert!(
+            progress.done <= order.len(),
+            "DeltaRule: progress past the pass"
+        );
         let w = weights.as_mut_slice();
         let scale = self.update_scale.as_slice();
         let profile = self.irdrop_profile.map(Matrix::as_slice);
         let mut y = vec![0.0; c];
         // `(class, step_scale · err)` of every class off target.
         let mut steps: Vec<(usize, f64)> = Vec::with_capacity(c);
-        let mut sq_err = 0.0;
-        for &i in order {
+        let start = progress.done;
+        let mut sq_err = progress.sq_err;
+        for (k, &i) in order.iter().enumerate().skip(start) {
+            if k > start && preempt() {
+                *progress = EpochProgress { done: k, sq_err };
+                return None;
+            }
             let x = train.image(i);
             let label = train.label(i) as usize;
             y.fill(0.0);
@@ -397,7 +448,11 @@ impl DeltaRule<'_> {
                 }
             }
         }
-        sq_err / (order.len() * c) as f64
+        *progress = EpochProgress {
+            done: order.len(),
+            sq_err,
+        };
+        Some(sq_err / (order.len() * c) as f64)
     }
 }
 

@@ -10,8 +10,10 @@
 //!
 //! * the Monte-Carlo executor ([`crate::executor::run_trials`]) uses the
 //!   scoped, blocking [`WorkerPool::run_indexed`] fan-out;
-//! * the serve scheduler submits long-lived detached "pump" jobs via
-//!   [`WorkerPool::submit`].
+//! * the serve scheduler submits long-lived detached "pump" jobs, and
+//!   training jobs their mini-epoch slices, via [`WorkerPool::submit`].
+//!   Both poll [`WorkerPool::has_queued`] so that neither holds a thread
+//!   while other work waits.
 //!
 //! # Work claiming
 //!
@@ -176,6 +178,23 @@ impl WorkerPool {
     /// Number of worker threads.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Whether any job waits in the queue for a free thread: a detached
+    /// job or a fan-out helper, submitted but not yet started.
+    ///
+    /// This is what makes the pool work-conserving for its co-resident
+    /// clients. A training slice stops at the next sample and requeues
+    /// itself behind the waiting job. A serve pump skips its partial-batch
+    /// linger instead of holding the thread idle.
+    pub fn has_queued(&self) -> bool {
+        !self
+            .shared
+            .queue
+            .lock()
+            .expect("pool queue lock")
+            .jobs
+            .is_empty()
     }
 
     /// Enqueues a detached fire-and-forget job. Used by long-lived
@@ -520,6 +539,29 @@ mod tests {
             sub.iter().sum::<usize>()
         });
         assert_eq!(out, vec![3, 6, 9, 12]);
+    }
+
+    #[test]
+    fn has_queued_sees_only_jobs_waiting_for_a_thread() {
+        let pool = WorkerPool::new(1);
+        assert!(!pool.has_queued());
+        let (wedge_tx, wedge_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        pool.submit(move || {
+            let _ = started_tx.send(());
+            let _ = wedge_rx.recv();
+        });
+        started_rx.recv().expect("wedge job starts");
+        // The running job is not queued work.
+        assert!(!pool.has_queued());
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        pool.submit(move || {
+            let _ = done_tx.send(());
+        });
+        assert!(pool.has_queued());
+        wedge_tx.send(()).expect("wedged worker still listening");
+        done_rx.recv().expect("queued job runs");
+        assert!(!pool.has_queued());
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! drains up to [`SchedulerConfig::max_batch`] requests, lingers up to
 //! [`SchedulerConfig::max_wait`] for the batch to fill, and dispatches
 //! the whole batch through one [`CompiledModel::infer_batch`] call.
+//! The linger applies only on an otherwise idle pool: when another job
+//! waits in the pool queue ([`WorkerPool::has_queued`]) — a co-resident
+//! training slice, another scheduler's pump — the pump dispatches what
+//! it holds at once (`serve.linger_skipped`) instead of holding the
+//! thread idle.
 //! Batching never changes predictions — the compiled read is a pure
 //! per-sample function, so the response for a given input is
 //! bit-identical whatever batch it rides in and whatever the pump count
@@ -67,7 +72,7 @@
 //! [`ChaosPlan`] keys on are deterministic too, so an injected crash
 //! hits the same batch — and produces the same answers — on every run.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
@@ -110,6 +115,9 @@ pub struct SchedulerConfig {
     pub max_batch: usize,
     /// How long a pump lingers for a partial batch to fill before
     /// dispatching it. [`Duration::ZERO`] dispatches whatever is queued.
+    /// A pump lingers only while no other job waits in the pool queue:
+    /// with other pool work pending it dispatches the partial batch at
+    /// once, so the thread never idles while work waits.
     pub max_wait: Duration,
     /// Queue depth at which new admissions degrade to the fallback model.
     /// `usize::MAX` (the default) disables the ladder.
@@ -434,6 +442,8 @@ impl Scheduler {
             pool,
         });
         vortex_obs::gauge!("serve.pool_workers").set(pump_limit as f64);
+        // Registered up front, so a metrics snapshot shows a zero.
+        let _ = vortex_obs::counter!("serve.linger_skipped");
         Ok(Self { shared })
     }
 
@@ -734,9 +744,11 @@ fn pump_loop(shared: &Arc<Shared>) {
 }
 
 /// Collects the next micro-batch: drains greedily, then lingers up to
-/// `max_wait` for the batch to fill. Returns `None` — retiring the pump
-/// under the state lock — when the queue is empty, paused, or being shut
-/// down with nothing left to drain.
+/// `max_wait` for the batch to fill — unless other work waits in the
+/// pool queue, which a lingering pump would hold off its thread.
+/// Returns `None` — retiring the pump under the state lock — when the
+/// queue is empty, paused, or being shut down with nothing left to
+/// drain.
 fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Request>> {
     let mut state: MutexGuard<'_, QueueState> = shared.state.lock().expect("queue lock");
     if state.paused || state.queue.is_empty() {
@@ -745,7 +757,10 @@ fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Request>> {
     }
     let mut batch = Vec::with_capacity(shared.max_batch.min(state.queue.len()));
     drain_into(&mut state, &mut batch, shared.max_batch);
-    if batch.len() < shared.max_batch && shared.max_wait > Duration::ZERO {
+    let lingers = batch.len() < shared.max_batch && shared.max_wait > Duration::ZERO;
+    if lingers && shared.pool.has_queued() {
+        vortex_obs::counter!("serve.linger_skipped").incr();
+    } else if lingers {
         let linger_until = Instant::now() + shared.max_wait;
         while batch.len() < shared.max_batch && !state.closed {
             let now = Instant::now();
@@ -826,7 +841,11 @@ fn dispatch(shared: &Shared, batch: &mut Vec<Request>, seq: u64) {
         }
         if chaos.should_panic(seq) {
             vortex_obs::counter!("serve.chaos.panics").incr();
-            panic!("chaos: injected worker panic at batch {seq}");
+            // `resume_unwind` unwinds like `panic!` but skips the panic
+            // hook: a contained, expected fault prints nothing.
+            resume_unwind(Box::new(format!(
+                "chaos: injected worker panic at batch {seq}"
+            )));
         }
     }
     let now = Instant::now();

@@ -5,18 +5,25 @@
 //! on the shared [`WorkerPool`] — the *same* pool that serves inference
 //! batches — under three production disciplines:
 //!
-//! * **Priority classes.** Inference outranks training. Before every
-//!   mini-epoch the job feeds the serving [`Scheduler`]'s
+//! * **Priority classes.** Inference outranks training, at two grains.
+//!   Within a mini-epoch, the job runs as a chain of pool jobs, one
+//!   slice each: between samples a slice polls
+//!   [`WorkerPool::has_queued`], and when any other job waits — a serve
+//!   pump, typically — it stops and requeues its continuation *behind*
+//!   that job (`train.preemptions`). A request that arrives mid-epoch
+//!   therefore waits for one sample, not for the rest of the epoch.
+//!   Between mini-epochs the job feeds the serving [`Scheduler`]'s
 //!   [`queue_depth`](Scheduler::queue_depth) to its [`YieldGate`]: at
 //!   or above [`JobConfig::high_water`] it parks until the backlog
-//!   drains to [`JobConfig::low_water`]. Training never preempts a
-//!   pending prediction — it simply declines to enqueue its next unit.
+//!   drains to [`JobConfig::low_water`] (`train.yields`). Slicing
+//!   changes no sample order and no error sum, so a preempted job
+//!   lands on exactly the weights of an undisturbed one.
 //! * **Checkpoint/resume.** Every [`JobConfig::checkpoint_every`]
 //!   epochs the stepper's full state is frozen into a
 //!   [`TrainingCheckpoint`] and written **atomically** to one of two
 //!   alternating slot files (`ckpt_a.vxck` / `ckpt_b.vxck`), so a crash
 //!   mid-write can at worst lose the newest slot, never both.
-//! * **Crash recovery.** Each mini-epoch runs inside `catch_unwind`
+//! * **Crash recovery.** Each slice runs inside `catch_unwind`
 //!   *within* the submitted pool job, so a training fault is contained
 //!   before the pool's own panic backstop can see it — the
 //!   `pool.job_panics` counter (the signal serving alarms on) stays
@@ -27,18 +34,20 @@
 //!   restart budget.
 //!
 //! Faults are injected from the same seeded [`ChaosPlan`] that drives
-//! the serving chaos suite: `should_kill_training` panics the epoch's
-//! pool job, and `corrupt_checkpoint` flips bits in the newest slot
+//! the serving chaos suite: `should_kill_training` kills the epoch's
+//! first slice after its first sample has updated the weights (the
+//! recovery must discard a half-applied mini-epoch), and
+//! `corrupt_checkpoint` flips bits in the newest slot
 //! file — and because resume is bit-identical (see
 //! [`crate::stepper`]), a chaos-battered run must land on **exactly**
 //! the weights of an undisturbed one, which the recovery tests pin at
 //! several pool sizes.
 
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vortex_core::amp::greedy::RowMapping;
 use vortex_core::pipeline::HardwareEnv;
@@ -214,6 +223,8 @@ impl TrainingJob {
     /// configuration.
     pub fn new(config: JobConfig, train: Arc<Dataset>, env: HardwareEnv) -> Result<Self> {
         config.validate()?;
+        // Registered up front, so a metrics snapshot shows a zero.
+        let _ = vortex_obs::counter!("train.preemptions");
         Ok(Self {
             config,
             train,
@@ -389,36 +400,26 @@ impl TrainingJob {
         Ok(outcome)
     }
 
-    /// One mini-epoch as a preemptible unit on the shared pool. The
-    /// stepper *moves into* the job and comes back over a channel — no
-    /// shared mutable state, so a crash cannot poison anything.
-    ///
-    /// The `catch_unwind` lives **inside** the submitted closure: a
-    /// training fault is contained before the pool's detached-job
-    /// backstop sees it, so `pool.job_panics` — the counter serving
-    /// alarms on — is never incremented by a training crash.
+    /// One mini-epoch as a chain of preemptible slices on the shared
+    /// pool (see [`run_slice`]). The stepper *moves into* the chain and
+    /// comes back over one channel — no shared mutable state, so a
+    /// crash cannot poison anything. `Err` means the stepper died with a
+    /// slice.
     fn step_on_pool(
         &self,
-        mut stepper: DeltaStepper,
+        stepper: DeltaStepper,
         kill: bool,
     ) -> std::result::Result<DeltaStepper, ()> {
         let (tx, rx) = mpsc::channel();
-        let train = Arc::clone(&self.train);
-        self.pool.submit(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(move || {
-                if kill {
-                    panic!("chaos: injected training kill");
-                }
-                {
-                    let _span = vortex_obs::span!("train.step_seconds");
-                    stepper.step(&train);
-                }
-                stepper
-            }));
-            // A dropped receiver just discards the result; never panic
-            // out of the containment scope.
-            let _ = tx.send(outcome.map_err(|_| ()));
-        });
+        let slice = Slice {
+            stepper,
+            train: Arc::clone(&self.train),
+            kill,
+            busy: Duration::ZERO,
+            tx,
+        };
+        let pool = Arc::clone(&self.pool);
+        self.pool.submit(move || run_slice(pool, slice));
         rx.recv().map_err(|_| ())?
     }
 
@@ -503,6 +504,65 @@ impl TrainingJob {
         match best {
             Some(stepper) => Ok(stepper),
             None => DeltaStepper::fresh(&self.train, &self.env, self.config.trainer),
+        }
+    }
+}
+
+/// What a mini-epoch carries from one pool slice to the next.
+struct Slice {
+    stepper: DeltaStepper,
+    train: Arc<Dataset>,
+    /// Fire the injected chaos kill in this slice.
+    kill: bool,
+    /// Time spent computing in the slices so far.
+    busy: Duration,
+    tx: mpsc::Sender<std::result::Result<DeltaStepper, ()>>,
+}
+
+/// Runs one slice of a mini-epoch on a pool thread: samples until the
+/// mini-epoch ends or another job waits in the pool queue, then either
+/// requeues the continuation behind that job or sends the result.
+///
+/// The `catch_unwind` lives **inside** the pool job: a training fault
+/// is contained before the pool's detached-job backstop sees it, so
+/// `pool.job_panics` — the counter serving alarms on — is never
+/// incremented by a training crash. An injected kill fires after the
+/// slice's first sample has updated the weights, so recovery always
+/// discards a half-applied mini-epoch. It unwinds through
+/// [`resume_unwind`], which skips the panic hook: an expected fault
+/// prints nothing.
+fn run_slice(pool: Arc<WorkerPool>, mut slice: Slice) {
+    let started = Instant::now();
+    let kill = slice.kill;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mse = slice
+            .stepper
+            .step_until(&slice.train, || kill || pool.has_queued());
+        if kill {
+            resume_unwind(Box::new("chaos: injected training kill"));
+        }
+        mse
+    }));
+    slice.busy += started.elapsed();
+    match outcome {
+        Ok(None) => {
+            vortex_obs::counter!("train.preemptions").incr();
+            let continuation = Arc::clone(&pool);
+            pool.submit(move || run_slice(continuation, slice));
+        }
+        outcome => {
+            if outcome.is_ok() {
+                vortex_obs::histogram!("train.step_seconds").record(slice.busy.as_secs_f64());
+            }
+            // Release this slice's hold on the pool before answering:
+            // once the job thread has its answer it may drop the last
+            // other handle, and a pool must never be dropped from one
+            // of its own threads.
+            drop(pool);
+            let Slice { stepper, tx, .. } = slice;
+            // A dropped receiver just discards the result; never panic
+            // out of the containment scope.
+            let _ = tx.send(outcome.map(|_| stepper).map_err(|_| ()));
         }
     }
 }

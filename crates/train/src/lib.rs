@@ -17,10 +17,12 @@
 //!   serial by construction; the *job* is the unit of parallelism).
 //! * **Priority classes** ([`job::TrainingJob`]): training runs as
 //!   preemptible units of work on the shared [`vortex_nn::pool::WorkerPool`],
-//!   one mini-epoch at a time, and *yields between mini-epochs* whenever
+//!   one slice of a mini-epoch at a time. A slice *stops between
+//!   samples* whenever other work waits in the pool queue and requeues
+//!   itself behind it, and the job *parks between mini-epochs* whenever
 //!   the serving scheduler's queue depth crosses its high-water mark —
 //!   inference always outranks learning.
-//! * **Crash recovery**: every mini-epoch executes under `catch_unwind`;
+//! * **Crash recovery**: every slice executes under `catch_unwind`;
 //!   a panic (organic or injected by a seeded
 //!   [`vortex_serve::chaos::ChaosPlan`] kill) discards the in-memory
 //!   state and the supervisor restarts from the newest checkpoint that
@@ -35,7 +37,7 @@
 //!
 //! Everything is observable through `vortex-obs` `train.*` counters and
 //! gauges: epochs, checkpoints, restarts, injected kills, rejected
-//! checkpoints, yields and promotions.
+//! checkpoints, preemptions, yields and promotions.
 
 #![warn(missing_docs)]
 

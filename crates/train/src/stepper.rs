@@ -3,8 +3,10 @@
 //! [`DeltaStepper`] is the CLD training loop of `vortex_core::cld`
 //! re-cut into *mini-epochs*: one call to [`DeltaStepper::step`] is one
 //! full shuffled pass over the training set through
-//! [`DeltaRule::epoch`], the same kernel `CldTrainer` runs. Between any
-//! two calls the complete training state freezes into a
+//! [`DeltaRule::epoch_until`], the same kernel `CldTrainer` runs.
+//! [`DeltaStepper::step_until`] runs the same pass in slices, stopping
+//! between samples whenever its preempt predicate asks. At any epoch
+//! boundary the complete training state freezes into a
 //! [`TrainingCheckpoint`] — weights, normalized-LMS step scale, epoch
 //! and sample counters, and the exact position of the RNG stream.
 //!
@@ -13,8 +15,10 @@
 //! A stepper restored via [`DeltaStepper::resume`] continues the run
 //! **bit-identically**: for the same dataset, environment and
 //! [`TrainerConfig`], `fresh → step×k → checkpoint → resume → step×m`
-//! produces exactly the same weights as `fresh → step×(k+m)`. Two
-//! ingredients make this hold:
+//! produces exactly the same weights as `fresh → step×(k+m)`, and a
+//! mini-epoch cut into slices by [`DeltaStepper::step_until`] produces
+//! exactly the weights and error of the whole one. Three ingredients
+//! make this hold:
 //!
 //! * the shuffle order and nothing else consumes the training RNG, and
 //!   its full 256-bit state rides in the checkpoint
@@ -23,9 +27,13 @@
 //!   they model the fabricated array, which does not change across a
 //!   process restart — and are re-derived from a **separate** RNG stream
 //!   seeded from `config.seed`, so re-deriving them never perturbs the
-//!   training stream.
+//!   training stream;
+//! * a sliced mini-epoch shuffles once, at its start, and carries its
+//!   position and running error sum to the next slice
+//!   ([`EpochProgress`]), so slicing changes no sample order and no
+//!   summation order.
 
-use vortex_core::cld::{achieved_update_scale, nlms_step_scale, DeltaRule};
+use vortex_core::cld::{achieved_update_scale, nlms_step_scale, DeltaRule, EpochProgress};
 use vortex_core::pipeline::HardwareEnv;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
@@ -119,6 +127,11 @@ pub struct DeltaStepper {
     step_scale: f64,
     last_mse: f64,
     rng: Xoshiro256PlusPlus,
+    /// Sample order of the current mini-epoch (reused across epochs).
+    order: Vec<usize>,
+    /// Where a mini-epoch preempted by [`DeltaStepper::step_until`]
+    /// stands; `None` at an epoch boundary.
+    in_flight: Option<EpochProgress>,
 }
 
 impl DeltaStepper {
@@ -174,6 +187,8 @@ impl DeltaStepper {
             step_scale,
             last_mse: f64::INFINITY,
             rng: Xoshiro256PlusPlus::seed_from_u64(config.seed),
+            order: Vec::with_capacity(train.len()),
+            in_flight: None,
             config,
         })
     }
@@ -229,20 +244,42 @@ impl DeltaStepper {
             step_scale,
             last_mse: ck.last_mse,
             rng,
+            order: Vec::with_capacity(train.len()),
+            in_flight: None,
             config,
         })
     }
 
     /// Runs one mini-epoch — a full shuffled pass of delta-rule updates
     /// against the simulated crossbar — and returns the mean squared
-    /// *sensed* error of the pass.
+    /// *sensed* error of the pass: [`Self::step_until`] never preempted.
     ///
-    /// This is the serial unit of work the job engine schedules on the
-    /// shared pool; determinism follows from the RNG being the only
-    /// source of order.
+    /// Determinism follows from the RNG being the only source of order.
     pub fn step(&mut self, train: &Dataset) -> f64 {
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        self.rng.shuffle(&mut order);
+        self.step_until(train, || false)
+            .expect("a mini-epoch that is never preempted completes")
+    }
+
+    /// Runs the current mini-epoch until it completes or `preempt` asks
+    /// it to stop, and returns its mean squared sensed error once it
+    /// completes, `None` when preempted.
+    ///
+    /// A call at an epoch boundary shuffles the sample order; a call
+    /// after a preemption continues the same pass where it stopped.
+    /// `preempt` is polled between samples, and every call applies at
+    /// least one. This is the unit the job engine runs on the shared
+    /// pool, one slice per pool job. Pass the same `train` to every
+    /// slice of a mini-epoch.
+    pub fn step_until(&mut self, train: &Dataset, preempt: impl FnMut() -> bool) -> Option<f64> {
+        let progress = match &mut self.in_flight {
+            Some(progress) => progress,
+            None => {
+                self.order.clear();
+                self.order.extend(0..train.len());
+                self.rng.shuffle(&mut self.order);
+                self.in_flight.insert(EpochProgress::default())
+            }
+        };
         let rule = DeltaRule {
             step_scale: self.step_scale,
             update_scale: &self.update_scale_variation,
@@ -250,14 +287,25 @@ impl DeltaStepper {
             adc: self.adc.as_ref(),
             w_max: self.w_max,
         };
-        self.last_mse = rule.epoch(&mut self.weights, train, &order);
+        let mse = rule.epoch_until(&mut self.weights, train, &self.order, progress, preempt)?;
+        self.in_flight = None;
+        self.last_mse = mse;
         self.epoch += 1;
         self.samples_seen += train.len() as u64;
-        self.last_mse
+        Some(mse)
     }
 
     /// Freezes the complete training state at this epoch boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics mid-epoch, after a [`Self::step_until`] that was
+    /// preempted: a checkpoint holds whole mini-epochs only.
     pub fn checkpoint(&self) -> TrainingCheckpoint {
+        assert!(
+            self.in_flight.is_none(),
+            "DeltaStepper: checkpoint taken mid-epoch"
+        );
         TrainingCheckpoint {
             weights: self.weights.clone(),
             epoch: self.epoch,

@@ -177,6 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "train.kills",
         "train.restarts",
         "train.checkpoint.rejected",
+        "train.preemptions",
         "train.yields",
         "train.promotions",
         "pool.job_panics",
