@@ -13,12 +13,14 @@
 //!   drift, however small, fails CI outright.
 //! * **Tail under co-residency** — one [`sim`](crate::sim) worker
 //!   replays seeded Poisson inference arrivals (70% load) next to a
-//!   co-resident trainer whose mini-epochs park behind the job engine's
-//!   own [`YieldGate`], against two controls (inference alone; a greedy
-//!   trainer that never yields). The gated ceiling
+//!   co-resident trainer that follows the job engine's rule: it steps
+//!   aside for requests at sample boundaries, each mini-epoch being one
+//!   sample per training-set row. Two controls: inference alone, and a
+//!   trainer whose mini-epoch is one indivisible sample, so it yields
+//!   only between mini-epochs. The gated ceiling
 //!   `training_p99_inflation_x` caps the p99 inflation the
-//!   *yielding* trainer may impose over inference running alone; the
-//!   greedy row documents what the priority class is buying. No wall
+//!   *preempting* trainer may impose over inference running alone; the
+//!   epoch-yielding row documents what preemption is buying. No wall
 //!   clock anywhere — every number in the payload is a pure function of
 //!   the seeds, so `BENCH_training.json` is bit-identical at any
 //!   `VORTEX_MC_THREADS` / `VORTEX_POOL_THREADS` setting.
@@ -34,7 +36,7 @@ use vortex_nn::dataset::Dataset;
 use vortex_nn::metrics::accuracy_of_weights;
 use vortex_nn::pool::WorkerPool;
 use vortex_serve::chaos::{ChaosConfig, ChaosPlan};
-use vortex_train::{JobConfig, JobReport, TrainerConfig, TrainingJob, YieldGate};
+use vortex_train::{JobConfig, JobReport, TrainerConfig, TrainingJob};
 
 use super::common::Scale;
 use crate::sim::{sorted_latencies, Worker};
@@ -60,10 +62,6 @@ const HORIZON: f64 = 0.5;
 const T_EPOCH: f64 = 3.0e-3;
 /// Mini-epochs the simulated job wants to run.
 const SIM_EPOCHS: usize = 40;
-/// Queue depth at which the yielding trainer parks…
-const HIGH_WATER: usize = 8;
-/// …and the depth it waits for before taking the worker again.
-const LOW_WATER: usize = 2;
 /// Arrival-trace seed (independent of the scale's model seed).
 const TRAFFIC_SEED: u64 = 0x7EA1;
 
@@ -114,13 +112,13 @@ pub struct TrainingResult {
     /// `clean − recovered` test accuracy, percentage points — the
     /// exactness gate (bit-identical recovery makes this exactly 0).
     pub recovery_delta_pp: f64,
-    /// Simulation rows: inference alone, yielding trainer, greedy
-    /// trainer — in that order.
+    /// Simulation rows: inference alone, preempting trainer,
+    /// epoch-yielding trainer — in that order.
     pub sims: Vec<SimRow>,
 }
 
 impl TrainingResult {
-    /// p99 with the *yielding* trainer over p99 alone — the gated
+    /// p99 with the *preempting* trainer over p99 alone — the gated
     /// ceiling key.
     pub fn p99_inflation_x(&self) -> f64 {
         self.sims[1].p99_ms / self.sims[0].p99_ms
@@ -189,7 +187,8 @@ impl TrainingResult {
         let mut out = super::common::render_tables(&self.tables());
         out.push_str(&format!(
             "recovery: {} kills + {} rejected checkpoints, accuracy delta {:+.2} pp; \
-             co-residency: p99 {:.2} ms alone -> {:.2} ms yielding ({:.2}x) vs {:.2} ms greedy\n",
+             co-residency: p99 {:.2} ms alone -> {:.2} ms preempting ({:.2}x) \
+             vs {:.2} ms yielding per epoch\n",
             self.recovered.kills,
             self.recovered.rejected_checkpoints,
             self.recovery_delta_pp,
@@ -213,8 +212,8 @@ impl TrainingResult {
                 "\"training_restarts\":{},\"training_rejected_checkpoints\":{},",
                 "\"training_p99_inflation_x\":{:.3},",
                 "\"training_p99_alone_ms\":{:.3},",
-                "\"training_p99_yield_ms\":{:.3},",
-                "\"training_p99_greedy_ms\":{:.3},",
+                "\"training_p99_preempt_ms\":{:.3},",
+                "\"training_p99_epoch_yield_ms\":{:.3},",
                 "\"tables\":{}}}"
             ),
             self.recovery_delta_pp,
@@ -235,12 +234,14 @@ impl TrainingResult {
 
 /// Replays one arrival trace through a single [`sim`](crate::sim)
 /// worker shared with a trainer wanting `epochs` mini-epochs of
-/// [`T_EPOCH`]. A yielding trainer parks behind a [`YieldGate`] at
-/// [`HIGH_WATER`] and resumes at [`LOW_WATER`]; a greedy one never
-/// parks.
-fn simulate(trace: &[Request], scenario: &'static str, epochs: usize, yields: bool) -> SimRow {
-    let gate = yields.then(|| YieldGate::new(HIGH_WATER, LOW_WATER).expect("valid watermarks"));
-    let mut worker = Worker::default().with_trainer(T_EPOCH, epochs, gate);
+/// [`T_EPOCH`], each cut into `samples_per_epoch` preemptible samples.
+fn simulate(
+    trace: &[Request],
+    scenario: &'static str,
+    epochs: usize,
+    samples_per_epoch: usize,
+) -> SimRow {
+    let mut worker = Worker::default().with_trainer(T_EPOCH, epochs, samples_per_epoch);
     let latencies = sorted_latencies(&worker.replay(trace));
     SimRow {
         scenario,
@@ -332,10 +333,12 @@ pub fn run(scale: &Scale) -> TrainingResult {
             deadline: None,
         })
         .collect();
+    // The preempting trainer's mini-epoch is one pass over the training
+    // set the recovery jobs use, one sample per row.
     let sims = vec![
-        simulate(&trace, "inference alone", 0, true),
-        simulate(&trace, "training, yielding", SIM_EPOCHS, true),
-        simulate(&trace, "training, greedy", SIM_EPOCHS, false),
+        simulate(&trace, "inference alone", 0, 1),
+        simulate(&trace, "training, preempting", SIM_EPOCHS, train.len()),
+        simulate(&trace, "training, epoch-yielding", SIM_EPOCHS, 1),
     ];
 
     TrainingResult {
@@ -373,24 +376,33 @@ mod tests {
     #[test]
     fn yield_discipline_bounds_the_tail() {
         let r = run(&Scale::bench());
-        let (alone, yielding, greedy) = (&r.sims[0], &r.sims[1], &r.sims[2]);
+        let (alone, preempting, per_epoch) = (&r.sims[0], &r.sims[1], &r.sims[2]);
         assert_eq!(alone.train_done_ms, 0.0);
-        assert!(yielding.train_done_ms > 0.0, "yielding trainer finishes");
-        assert!(greedy.train_done_ms > 0.0, "greedy trainer finishes");
+        assert!(
+            preempting.train_done_ms > 0.0,
+            "preempting trainer finishes"
+        );
+        assert!(
+            per_epoch.train_done_ms > 0.0,
+            "epoch-yielding trainer finishes"
+        );
         assert!(alone.p50_ms <= alone.p99_ms);
+        // One sample can delay a lone arrival into a shared batch, which
+        // amortises the batch overhead: preemption may read slightly
+        // below inference alone, so the bound is against the control.
         assert!(
-            alone.p99_ms <= yielding.p99_ms,
-            "co-residency cannot improve the tail"
+            preempting.p99_ms < per_epoch.p99_ms,
+            "preemption must beat yielding between mini-epochs: {} !< {}",
+            preempting.p99_ms,
+            per_epoch.p99_ms
         );
         assert!(
-            greedy.p99_ms > 4.0 * yielding.p99_ms,
-            "the greedy control must show what yielding buys: {} !> 4x {}",
-            greedy.p99_ms,
-            yielding.p99_ms
+            per_epoch.p99_ms > alone.p99_ms,
+            "whole mini-epochs must hold requests up"
         );
         assert!(
-            r.p99_inflation_x() < 4.0,
-            "yielding inflation out of range: {}",
+            r.p99_inflation_x() < 1.2,
+            "preempting inflation out of range: {}",
             r.p99_inflation_x()
         );
     }
@@ -424,8 +436,8 @@ mod tests {
             "training_rejected_checkpoints",
             "training_p99_inflation_x",
             "training_p99_alone_ms",
-            "training_p99_yield_ms",
-            "training_p99_greedy_ms",
+            "training_p99_preempt_ms",
+            "training_p99_epoch_yield_ms",
             "tables",
         ] {
             assert!(json_field(&j, key), "missing {key} in {j}");
@@ -436,6 +448,6 @@ mod tests {
         );
         let infl = crate::gate::extract_number(&j, "training_p99_inflation_x")
             .expect("inflation key parses");
-        assert!((1.0..4.0).contains(&infl), "inflation {infl} out of range");
+        assert!(infl > 0.0 && infl < 1.2, "inflation {infl} out of range");
     }
 }

@@ -84,8 +84,9 @@ pub const EXACT_KEYS: [&str; 4] = [
 /// level allocation must meet or beat the uniform grid at the same
 /// pulse budget. `bench/baseline_training.json` caps
 /// `training_p99_inflation_x`: the p99 inference latency with a
-/// *yielding* co-resident trainer, as a multiple of inference running
-/// alone — the priority-class discipline must keep the tail bounded.
+/// co-resident trainer that preempts at sample boundaries, as a
+/// multiple of inference running alone — the priority-class discipline
+/// must keep the tail bounded.
 /// `bench/baseline.json` caps `exact_transfer_build_ms`, the time to
 /// compile one chip's Exact transfer matrices, at ~8× its wire-line
 /// preconditioned cost and far below its cost under point (Jacobi)

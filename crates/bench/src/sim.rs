@@ -1,12 +1,11 @@
 //! The virtual-time serving simulator behind the `fleet` and `training`
 //! experiments: one non-idling micro-batching [`Worker`] with one
 //! service-cost model, optionally shared with a co-resident trainer that
-//! yields through the real [`YieldGate`]. Pure virtual time — no wall
-//! clock, no threads — so every latency reproduces bit for bit.
+//! follows the real job's yield rule — it steps aside for requests at
+//! sample boundaries. Pure virtual time — no wall clock, no threads — so
+//! every latency reproduces bit for bit.
 
 use std::collections::VecDeque;
-
-use vortex_train::YieldGate;
 
 use crate::traffic::Request;
 
@@ -29,35 +28,39 @@ pub struct Completion {
 }
 
 /// One simulated single-server worker behind a FIFO queue. Whenever it
-/// frees up at virtual time `s`, a co-resident trainer with epochs left
-/// takes it for one mini-epoch unless its gate is parked at the number
-/// of requests arrived by `s`; otherwise the worker serves up to
-/// [`MAX_BATCH`] of them, finishing at `s + T_BATCH + n·T_SAMPLE`, or
-/// idles until the next arrival.
+/// frees up at virtual time `s` with requests arrived by `s`, it serves
+/// up to [`MAX_BATCH`] of them, finishing at `s + T_BATCH + n·T_SAMPLE`.
+/// Otherwise a co-resident trainer with samples left takes it for one
+/// training sample, or it idles until the next arrival. This is the
+/// real job's sample-boundary preemption: the trainer runs whole
+/// samples until a request arrives, at least one.
 #[derive(Debug, Clone, Default)]
 pub struct Worker {
     busy_until: f64,
     queue: VecDeque<Request>,
-    epochs_left: usize,
-    epoch_cost: f64,
-    gate: Option<YieldGate>,
+    samples_left: usize,
+    sample_cost: f64,
     train_done: f64,
 }
 
 impl Worker {
     /// This worker shared with a trainer wanting `epochs` mini-epochs of
-    /// `epoch_cost` virtual seconds, parking behind `gate` (`None`: a
-    /// greedy trainer that never yields).
+    /// `epoch_cost` virtual seconds, each of `samples_per_epoch` equal
+    /// samples (1: a trainer that yields only between mini-epochs).
     #[must_use]
-    pub fn with_trainer(mut self, epoch_cost: f64, epochs: usize, gate: Option<YieldGate>) -> Self {
-        self.epochs_left = epochs;
-        self.epoch_cost = epoch_cost;
-        self.gate = gate;
+    pub fn with_trainer(
+        mut self,
+        epoch_cost: f64,
+        epochs: usize,
+        samples_per_epoch: usize,
+    ) -> Self {
+        self.samples_left = epochs * samples_per_epoch;
+        self.sample_cost = epoch_cost / samples_per_epoch as f64;
         self
     }
 
-    /// Virtual time the trainer's latest mini-epoch finished (0 before
-    /// the first, or without a trainer).
+    /// Virtual time the trainer's latest sample finished (0 before the
+    /// first, or without a trainer).
     pub fn train_done(&self) -> f64 {
         self.train_done
     }
@@ -73,18 +76,14 @@ impl Worker {
         self.queue.push_back(req);
     }
 
-    /// Runs every mini-epoch and batch that *starts* before virtual time
-    /// `t`, appending served requests to `out`. Every arrival before `t`
-    /// must already be pushed, in time order.
+    /// Runs every training sample and batch that *starts* before virtual
+    /// time `t`, appending served requests to `out`. Every arrival before
+    /// `t` must already be pushed, in time order.
     pub fn advance(&mut self, t: f64, out: &mut Vec<Completion>) {
         while self.busy_until < t {
             let s = self.busy_until;
             let arrived = self.queue.partition_point(|r| r.time <= s);
-            if self.epochs_left > 0 && !self.gate.as_mut().is_some_and(|g| g.parked(arrived)) {
-                self.epochs_left -= 1;
-                self.busy_until = s + self.epoch_cost;
-                self.train_done = self.busy_until;
-            } else if arrived > 0 {
+            if arrived > 0 {
                 let n = arrived.min(MAX_BATCH);
                 let done = s + T_BATCH + n as f64 * T_SAMPLE;
                 out.extend(self.queue.drain(..n).map(|req| Completion {
@@ -93,6 +92,10 @@ impl Worker {
                     tenant: req.tenant,
                 }));
                 self.busy_until = done;
+            } else if self.samples_left > 0 {
+                self.samples_left -= 1;
+                self.busy_until = s + self.sample_cost;
+                self.train_done = self.busy_until;
             } else if let Some(head) = self.queue.front() {
                 self.busy_until = head.time;
             } else {
@@ -167,42 +170,47 @@ mod tests {
         );
     }
 
-    /// Twenty arrivals land inside the first 1 ms mini-epoch: more than
-    /// one batch and above the high-water mark.
-    fn burst() -> Vec<Request> {
-        trace(&(1..=20).map(|k| k as f64 * 1.0e-5).collect::<Vec<_>>())
-    }
-
     const EPOCH: f64 = 1.0e-3;
 
     #[test]
-    fn trainer_parks_at_high_water_and_resumes_at_low_water() {
-        let reqs = burst();
-        let gate = YieldGate::new(8, 2).expect("valid band");
-        let mut w = Worker::default().with_trainer(EPOCH, 2, Some(gate));
+    fn a_request_arriving_mid_sample_waits_for_the_rest_of_that_sample() {
+        // Four 0.25 ms samples per epoch; the request lands inside the
+        // second sample, is served when it ends, and the trainer takes
+        // the rest of its samples afterwards.
+        let sample = EPOCH / 4.0;
+        let reqs = trace(&[sample + 1.0e-4]);
+        let mut w = Worker::default().with_trainer(EPOCH, 2, 4);
         let out = w.replay(&reqs);
-        // Epoch 1 starts on an empty queue; at 1 ms the backlog of 20
-        // parks the trainer. A 16-batch leaves 4 waiting — between the
-        // marks, so it stays parked — and only the drained queue lets
-        // epoch 2 run.
-        let first = EPOCH + T_BATCH + 16.0 * T_SAMPLE;
-        let second = first + T_BATCH + 4.0 * T_SAMPLE;
-        let expected: Vec<f64> = reqs
-            .iter()
-            .enumerate()
-            .map(|(k, r)| if k < 16 { first } else { second } - r.time)
-            .collect();
-        assert_eq!(latencies(&out), expected);
-        assert_eq!(w.train_done(), second + EPOCH);
+        let served = (sample + sample) + T_BATCH + T_SAMPLE;
+        assert_eq!(latencies(&out), [served - reqs[0].time]);
+        let mut done = served;
+        for _ in 2..8 {
+            done += sample;
+        }
+        assert_eq!(w.train_done(), done);
     }
 
     #[test]
-    fn greedy_trainer_never_parks() {
-        let reqs = burst();
-        let mut w = Worker::default().with_trainer(EPOCH, 2, None);
+    fn one_sample_per_epoch_waits_for_the_rest_of_the_epoch() {
+        let reqs = trace(&[1.0e-4]);
+        let mut w = Worker::default().with_trainer(EPOCH, 2, 1);
         let out = w.replay(&reqs);
-        let trained = EPOCH + EPOCH;
-        let first = trained + T_BATCH + 16.0 * T_SAMPLE;
+        let served = EPOCH + T_BATCH + T_SAMPLE;
+        assert_eq!(latencies(&out), [served - reqs[0].time]);
+        assert_eq!(w.train_done(), served + EPOCH);
+    }
+
+    #[test]
+    fn no_sample_starts_while_a_request_is_queued() {
+        // Twenty arrivals inside the first sample: more than one batch.
+        // The trainer resumes only once both batches have drained the
+        // queue, even though the second batch's requests waited through
+        // the first.
+        let sample = EPOCH / 10.0;
+        let reqs = trace(&(1..=20).map(|k| k as f64 * 2.0e-6).collect::<Vec<_>>());
+        let mut w = Worker::default().with_trainer(EPOCH, 1, 10);
+        let out = w.replay(&reqs);
+        let first = sample + T_BATCH + 16.0 * T_SAMPLE;
         let second = first + T_BATCH + 4.0 * T_SAMPLE;
         let expected: Vec<f64> = reqs
             .iter()
@@ -210,12 +218,16 @@ mod tests {
             .map(|(k, r)| if k < 16 { first } else { second } - r.time)
             .collect();
         assert_eq!(latencies(&out), expected);
-        assert_eq!(w.train_done(), trained);
+        let mut done = second;
+        for _ in 1..10 {
+            done += sample;
+        }
+        assert_eq!(w.train_done(), done);
     }
 
     #[test]
     fn trainer_finishes_after_the_last_request() {
-        let mut w = Worker::default().with_trainer(EPOCH, 3, None);
+        let mut w = Worker::default().with_trainer(EPOCH, 3, 1);
         let out = w.replay(&trace(&[]));
         assert!(out.is_empty());
         assert_eq!(w.train_done(), EPOCH + EPOCH + EPOCH);

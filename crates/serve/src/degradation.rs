@@ -65,16 +65,6 @@ impl Hysteresis {
         }
     }
 
-    /// The depth at which degradation engages.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// The depth at which degradation releases.
-    pub fn low_water(&self) -> usize {
-        self.low_water
-    }
-
     /// Whether new admissions are currently degraded.
     pub fn is_degraded(&self) -> bool {
         self.degraded

@@ -645,6 +645,11 @@ impl Scheduler {
         self.shared.pump_limit
     }
 
+    /// The worker pool this scheduler's pumps run on.
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.shared.pool
+    }
+
     /// Number of micro-batches dispatched so far (the sequence a
     /// [`ChaosPlan`] keys on).
     pub fn batches_dispatched(&self) -> u64 {

@@ -5,19 +5,18 @@
 //! on the shared [`WorkerPool`] — the *same* pool that serves inference
 //! batches — under three production disciplines:
 //!
-//! * **Priority classes.** Inference outranks training, at two grains.
-//!   Within a mini-epoch, the job runs as a chain of pool jobs, one
-//!   slice each: between samples a slice polls
+//! * **Priority classes.** Inference outranks training through one
+//!   rule, sample-boundary preemption. A mini-epoch runs as a chain of
+//!   pool jobs, one slice each: between samples a slice polls
 //!   [`WorkerPool::has_queued`], and when any other job waits — a serve
 //!   pump, typically — it stops and requeues its continuation *behind*
-//!   that job (`train.preemptions`). A request that arrives mid-epoch
-//!   therefore waits for one sample, not for the rest of the epoch.
-//!   Between mini-epochs the job feeds the serving [`Scheduler`]'s
-//!   [`queue_depth`](Scheduler::queue_depth) to its [`YieldGate`]: at
-//!   or above [`JobConfig::high_water`] it parks until the backlog
-//!   drains to [`JobConfig::low_water`] (`train.yields`). Slicing
-//!   changes no sample order and no error sum, so a preempted job
-//!   lands on exactly the weights of an undisturbed one.
+//!   that job (`train.preemptions`, and [`JobReport::yields`] for this
+//!   run). A request that arrives mid-epoch therefore waits for one
+//!   sample, not for the rest of the epoch.
+//!   [`TrainingJob::with_scheduler`] runs the job on the scheduler's own
+//!   pool, so its pumps are what the slices step aside for. Slicing
+//!   changes no sample order and no error sum, so a preempted job lands
+//!   on exactly the weights of an undisturbed one.
 //! * **Checkpoint/resume.** Every [`JobConfig::checkpoint_every`]
 //!   epochs the stepper's full state is frozen into a
 //!   [`TrainingCheckpoint`] and written **atomically** to one of two
@@ -60,40 +59,12 @@ use vortex_serve::health::{HealthConfig, HealthMonitor, ProbeOutcome};
 use vortex_serve::lifetime::{PolicyObservation, RecalibrationPolicy};
 use vortex_serve::retry::bounded_doubling;
 use vortex_serve::scheduler::Scheduler;
-use vortex_serve::Hysteresis;
 
 use crate::stepper::{DeltaStepper, TrainerConfig};
 use crate::{Result, TrainError};
 
 /// File names of the two alternating checkpoint slots.
 const SLOT_FILES: [&str; 2] = ["ckpt_a.vxck", "ckpt_b.vxck"];
-
-/// Poll interval of a job parked behind its [`YieldGate`].
-const YIELD_POLL: Duration = Duration::from_millis(1);
-
-/// The training-yield rule, run by [`TrainingJob`] and by the bench's
-/// simulated trainer: park once the serving backlog reaches
-/// `high_water`, resume once it drains to `low_water` (a [`Hysteresis`]
-/// band, like the scheduler's degradation ladder).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct YieldGate {
-    band: Hysteresis,
-}
-
-impl YieldGate {
-    /// A gate parking at `high_water` (at least 1) and resuming at
-    /// `low_water`; `None` when `low_water > high_water.max(1)`.
-    pub fn new(high_water: usize, low_water: usize) -> Option<Self> {
-        Hysteresis::new(high_water.max(1), low_water).map(|band| Self { band })
-    }
-
-    /// Feeds one observed backlog depth through the rule: whether the
-    /// trainer is parked, i.e. must not start a mini-epoch.
-    pub fn parked(&mut self, depth: usize) -> bool {
-        self.band.observe(depth);
-        self.band.is_degraded()
-    }
-}
 
 /// Configuration of a [`TrainingJob`].
 #[derive(Debug, Clone, PartialEq)]
@@ -112,12 +83,8 @@ pub struct JobConfig {
     pub max_restarts: u32,
     /// Base of the exponential restart backoff.
     pub restart_base: Duration,
-    /// Ceiling of the restart backoff.
+    /// Ceiling of the restart backoff (at least `restart_base`).
     pub restart_cap: Duration,
-    /// Scheduler queue depth at which training yields to inference.
-    pub high_water: usize,
-    /// Queue depth the backlog must drain to before training resumes.
-    pub low_water: usize,
 }
 
 impl JobConfig {
@@ -132,8 +99,6 @@ impl JobConfig {
             max_restarts: 8,
             restart_base: Duration::from_millis(2),
             restart_cap: Duration::from_millis(64),
-            high_water: 64,
-            low_water: 8,
         }
     }
 
@@ -156,10 +121,10 @@ impl JobConfig {
                 requirement: "must be positive",
             });
         }
-        if self.low_water > self.high_water {
+        if self.restart_cap < self.restart_base {
             return Err(TrainError::InvalidParameter {
-                name: "low_water",
-                requirement: "must not exceed high_water",
+                name: "restart_cap",
+                requirement: "restart backoff cap must be at least the base",
             });
         }
         Ok(())
@@ -199,7 +164,8 @@ pub struct JobReport {
     /// Checkpoint files that existed but were rejected during recovery
     /// (corrupt, foreign, or unrestorable).
     pub rejected_checkpoints: u64,
-    /// Times the job parked behind the scheduler's high-water mark.
+    /// Slices of this run that stopped early for queued pool work
+    /// (this run's share of `train.preemptions`).
     pub yields: u64,
 }
 
@@ -208,7 +174,6 @@ pub struct TrainingJob {
     config: JobConfig,
     train: Arc<Dataset>,
     env: HardwareEnv,
-    scheduler: Option<Arc<Scheduler>>,
     chaos: Option<ChaosPlan>,
     pool: Arc<WorkerPool>,
 }
@@ -229,18 +194,17 @@ impl TrainingJob {
             config,
             train,
             env,
-            scheduler: None,
             chaos: None,
             pool: Arc::clone(WorkerPool::global()),
         })
     }
 
-    /// Attaches the serving scheduler whose queue depth gates training
-    /// (no scheduler = the job never yields).
+    /// Runs the mini-epochs on `scheduler`'s pool, so the job's slices
+    /// preempt for that scheduler's pumps. The same as
+    /// [`Self::with_pool`] with that pool: whichever is called last wins.
     #[must_use]
-    pub fn with_scheduler(mut self, scheduler: Arc<Scheduler>) -> Self {
-        self.scheduler = Some(scheduler);
-        self
+    pub fn with_scheduler(self, scheduler: Arc<Scheduler>) -> Self {
+        self.with_pool(Arc::clone(scheduler.pool()))
     }
 
     /// Attaches a seeded chaos plan injecting kills and checkpoint
@@ -286,13 +250,12 @@ impl TrainingJob {
             if stepper.converged() || stepper.epoch() >= self.config.max_epochs {
                 break;
             }
-            self.yield_for_inference(&mut yields);
             let kill = self
                 .chaos
                 .as_ref()
                 .is_some_and(|plan| plan.should_kill_training(stepper.epoch()))
                 && fired_kills.insert(stepper.epoch());
-            match self.step_on_pool(stepper, kill) {
+            match self.step_on_pool(stepper, kill, &mut yields) {
                 Ok(revived) => {
                     stepper = revived;
                     vortex_obs::counter!("train.epochs").incr();
@@ -401,14 +364,15 @@ impl TrainingJob {
     }
 
     /// One mini-epoch as a chain of preemptible slices on the shared
-    /// pool (see [`run_slice`]). The stepper *moves into* the chain and
-    /// comes back over one channel — no shared mutable state, so a
-    /// crash cannot poison anything. `Err` means the stepper died with a
-    /// slice.
+    /// pool (see [`run_slice`]), adding the slices that stopped early to
+    /// `yields`. The stepper *moves into* the chain and comes back over
+    /// one channel — no shared mutable state, so a crash cannot poison
+    /// anything. `Err` means the stepper died with a slice.
     fn step_on_pool(
         &self,
         stepper: DeltaStepper,
         kill: bool,
+        yields: &mut u64,
     ) -> std::result::Result<DeltaStepper, ()> {
         let (tx, rx) = mpsc::channel();
         let slice = Slice {
@@ -416,29 +380,14 @@ impl TrainingJob {
             train: Arc::clone(&self.train),
             kill,
             busy: Duration::ZERO,
+            preemptions: 0,
             tx,
         };
         let pool = Arc::clone(&self.pool);
         self.pool.submit(move || run_slice(pool, slice));
-        rx.recv().map_err(|_| ())?
-    }
-
-    /// Parks the job behind its [`YieldGate`] while the serving backlog
-    /// says so.
-    fn yield_for_inference(&self, yields: &mut u64) {
-        let Some(scheduler) = &self.scheduler else {
-            return;
-        };
-        let mut gate = YieldGate::new(self.config.high_water, self.config.low_water)
-            .expect("validated config: low_water <= high_water");
-        if !gate.parked(scheduler.queue_depth()) {
-            return;
-        }
-        *yields += 1;
-        vortex_obs::counter!("train.yields").incr();
-        while gate.parked(scheduler.queue_depth()) {
-            std::thread::sleep(YIELD_POLL);
-        }
+        let (outcome, preemptions) = rx.recv().map_err(|_| ())?;
+        *yields += preemptions;
+        outcome
     }
 
     /// Atomically persists the stepper's state into this epoch's slot.
@@ -516,7 +465,10 @@ struct Slice {
     kill: bool,
     /// Time spent computing in the slices so far.
     busy: Duration,
-    tx: mpsc::Sender<std::result::Result<DeltaStepper, ()>>,
+    /// Slices so far that stopped early for queued pool work.
+    preemptions: u64,
+    /// The mini-epoch's outcome and its preemption count.
+    tx: mpsc::Sender<(std::result::Result<DeltaStepper, ()>, u64)>,
 }
 
 /// Runs one slice of a mini-epoch on a pool thread: samples until the
@@ -546,6 +498,7 @@ fn run_slice(pool: Arc<WorkerPool>, mut slice: Slice) {
     slice.busy += started.elapsed();
     match outcome {
         Ok(None) => {
+            slice.preemptions += 1;
             vortex_obs::counter!("train.preemptions").incr();
             let continuation = Arc::clone(&pool);
             pool.submit(move || run_slice(continuation, slice));
@@ -559,10 +512,15 @@ fn run_slice(pool: Arc<WorkerPool>, mut slice: Slice) {
             // other handle, and a pool must never be dropped from one
             // of its own threads.
             drop(pool);
-            let Slice { stepper, tx, .. } = slice;
+            let Slice {
+                stepper,
+                preemptions,
+                tx,
+                ..
+            } = slice;
             // A dropped receiver just discards the result; never panic
             // out of the containment scope.
-            let _ = tx.send(outcome.map(|_| stepper).map_err(|_| ()));
+            let _ = tx.send((outcome.map(|_| stepper).map_err(|_| ()), preemptions));
         }
     }
 }
@@ -616,8 +574,10 @@ mod tests {
         c.checkpoint_every = 0;
         assert!(c.validate().is_err());
         c = config("validate");
-        c.low_water = c.high_water + 1;
+        c.restart_cap = c.restart_base / 2;
         assert!(c.validate().is_err());
+        c.restart_cap = c.restart_base;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! * **Priority classes** ([`job::TrainingJob`]): training runs as
 //!   preemptible units of work on the shared [`vortex_nn::pool::WorkerPool`],
 //!   one slice of a mini-epoch at a time. A slice *stops between
-//!   samples* whenever other work waits in the pool queue and requeues
-//!   itself behind it, and the job *parks between mini-epochs* whenever
-//!   the serving scheduler's queue depth crosses its high-water mark —
-//!   inference always outranks learning.
+//!   samples* whenever other work — a serve pump, typically — waits in
+//!   the pool queue, and requeues itself behind it: inference always
+//!   outranks learning.
 //! * **Crash recovery**: every slice executes under `catch_unwind`;
 //!   a panic (organic or injected by a seeded
 //!   [`vortex_serve::chaos::ChaosPlan`] kill) discards the in-memory
@@ -37,14 +36,14 @@
 //!
 //! Everything is observable through `vortex-obs` `train.*` counters and
 //! gauges: epochs, checkpoints, restarts, injected kills, rejected
-//! checkpoints, preemptions, yields and promotions.
+//! checkpoints, preemptions and promotions.
 
 #![warn(missing_docs)]
 
 pub mod job;
 pub mod stepper;
 
-pub use job::{JobConfig, JobReport, TrainingJob, YieldGate};
+pub use job::{JobConfig, JobReport, TrainingJob};
 pub use stepper::{DeltaStepper, TrainerConfig};
 
 /// Canonical imports for training jobs:

@@ -1,11 +1,13 @@
 //! The work-conserving shared pool: a mini-epoch cut into slices by
 //! preemption lands on exactly the bits of the whole one, a training
 //! job beside live serving traffic yields mid-epoch without moving its
-//! weights, and a pump never lingers while other pool work waits.
+//! weights — attached to the scheduler alone, it runs on the
+//! scheduler's pool — and a pump never lingers while other pool work
+//! waits.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use vortex_core::amp::greedy::RowMapping;
@@ -154,25 +156,32 @@ fn served_model(split: &Split) -> Arc<CompiledModel> {
     )
 }
 
+/// Serialises the tests that run a job, so a move of the global
+/// `train.preemptions` counter is one job's.
+fn serial() -> MutexGuard<'static, ()> {
+    static JOBS: Mutex<()> = Mutex::new(());
+    JOBS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn job_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vortex-preempt-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// One training job beside two clients submitting through `try_submit`
-/// until the job ends. Returns the job's report and the requests served
-/// (every one answered).
+/// One training job, attached to a scheduler on a private pool of
+/// `pool_size` threads, beside two clients submitting through
+/// `try_submit` until the job ends. Returns the job's report and the
+/// requests served (every one answered).
 fn job_beside_traffic(
     split: &Split,
     pool_size: usize,
     epochs: u64,
     tag: &str,
 ) -> (JobReport, usize) {
-    let pool = Arc::new(WorkerPool::new(pool_size));
     let scheduler = Arc::new(
         Scheduler::on_pool(
-            Arc::clone(&pool),
+            Arc::new(WorkerPool::new(pool_size)),
             served_model(split),
             None,
             SchedulerConfig::new(Parallelism::Fixed(pool_size)),
@@ -188,8 +197,7 @@ fn job_beside_traffic(
     };
     let job = TrainingJob::new(config, Arc::new(split.train.clone()), env())
         .unwrap()
-        .with_scheduler(Arc::clone(&scheduler))
-        .with_pool(pool);
+        .with_scheduler(Arc::clone(&scheduler));
     let done = Arc::new(AtomicBool::new(false));
     let clients: Vec<_> = (0..2)
         .map(|client| {
@@ -220,18 +228,21 @@ fn job_beside_traffic(
 
 #[test]
 fn jobs_yield_mid_epoch_to_serving_and_keep_their_bits() {
+    let _serial = serial();
     let split = split();
     let epochs = 12;
     let solo = bits(whole(&split.train, epochs).weights().as_slice());
     for pool_size in [1usize, 4] {
         let deadline = Instant::now() + Duration::from_secs(60);
         for round in 0.. {
-            // No other test in this binary runs a job: the counter's
-            // move is this job's.
             let before = vortex_obs::counter("train.preemptions").get();
             let tag = format!("p{pool_size}-r{round}");
             let (report, served) = job_beside_traffic(&split, pool_size, epochs, &tag);
             let moved = vortex_obs::counter("train.preemptions").get() - before;
+            assert_eq!(
+                report.yields, moved,
+                "{tag}: yields are the job's preemptions"
+            );
             assert_eq!(report.epochs, epochs, "{tag}: epoch count");
             assert_eq!(report.restarts, 0, "{tag}: restarted");
             assert!(served >= 2, "{tag}: a client went unanswered");
@@ -242,7 +253,7 @@ fn jobs_yield_mid_epoch_to_serving_and_keep_their_bits() {
             );
             // Only a 1-thread pool must preempt: on a wider pool an idle
             // thread usually picks the pump up at once.
-            if pool_size > 1 || moved > 0 {
+            if pool_size > 1 || report.yields >= 1 {
                 break;
             }
             assert!(
@@ -250,6 +261,33 @@ fn jobs_yield_mid_epoch_to_serving_and_keep_their_bits() {
                 "no slice yielded to serving on a 1-thread pool"
             );
         }
+    }
+}
+
+#[test]
+fn a_job_attached_to_a_scheduler_alone_preempts_on_its_pool() {
+    // `job_beside_traffic` gives the job no pool of its own: it must
+    // find the scheduler's private pool through `with_scheduler`, or
+    // its slices run elsewhere and never see a pump waiting.
+    let _serial = serial();
+    let split = split();
+    let solo = bits(whole(&split.train, EPOCHS).weights().as_slice());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for round in 0.. {
+        let tag = format!("attached-r{round}");
+        let (report, _) = job_beside_traffic(&split, 1, EPOCHS, &tag);
+        assert_eq!(
+            bits(report.weights.as_slice()),
+            solo,
+            "{tag}: weights differ"
+        );
+        if report.yields >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the job never preempted for its scheduler's pumps"
+        );
     }
 }
 

@@ -149,10 +149,9 @@ fn training_faults_are_invisible_to_serving() {
             .unwrap(),
     );
 
-    let pool = Arc::new(WorkerPool::new(4));
     let scheduler = Arc::new(
         Scheduler::on_pool(
-            Arc::clone(&pool),
+            Arc::new(WorkerPool::new(4)),
             primary,
             None,
             SchedulerConfig::deterministic(),
@@ -171,8 +170,7 @@ fn training_faults_are_invisible_to_serving() {
     )
     .unwrap()
     .with_scheduler(Arc::clone(&scheduler))
-    .with_chaos(plan)
-    .with_pool(Arc::clone(&pool));
+    .with_chaos(plan);
     let trainer = std::thread::spawn(move || job.run().unwrap());
 
     // Pump inference through the shared pool until the job finishes,

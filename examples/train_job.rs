@@ -65,17 +65,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         aged.canary_accuracy()?,
         serve_plan.cell_faults().len()
     );
-    let pool = Arc::new(WorkerPool::new(4));
     let scheduler = Arc::new(Scheduler::on_pool(
-        Arc::clone(&pool),
+        Arc::new(WorkerPool::new(4)),
         Arc::new(aged),
         None,
         SchedulerConfig::deterministic(),
         None,
     )?);
 
-    // 2. A training job on the same pool, with kills and checkpoint
-    //    corruption injected from a seeded chaos plan.
+    // 2. A training job on the scheduler's pool, with kills and
+    //    checkpoint corruption injected from a seeded chaos plan.
     let ckpt_dir = std::env::temp_dir().join(format!("vortex-train-job-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     let config = JobConfig {
@@ -103,8 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train_set = Arc::new(split.train.clone());
     let job = TrainingJob::new(config.clone(), Arc::clone(&train_set), env)?
         .with_scheduler(Arc::clone(&scheduler))
-        .with_chaos(train_plan)
-        .with_pool(Arc::clone(&pool));
+        .with_chaos(train_plan);
 
     // 3. Run it while inference traffic flows through the shared pool.
     let trainer = std::thread::spawn(move || job.run());
@@ -178,7 +176,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "train.restarts",
         "train.checkpoint.rejected",
         "train.preemptions",
-        "train.yields",
         "train.promotions",
         "pool.job_panics",
     ] {
