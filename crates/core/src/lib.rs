@@ -46,13 +46,11 @@
 pub mod amp;
 pub mod cld;
 pub mod column;
-pub mod config;
 pub mod error;
 pub mod old;
 pub mod pipeline;
 pub mod prelude;
 pub mod report;
-pub mod retention;
 pub mod rho;
 pub mod tiling;
 pub mod tuning;

@@ -70,13 +70,6 @@ impl CellKind {
         }
     }
 
-    /// Largest effective conductance any programmed state can produce —
-    /// `g_on` after the transistor (`+inf` conductance still reads as
-    /// `1/r_access`).
-    pub fn max_effective(&self, g_on: f64) -> f64 {
-        self.effective_conductance(g_on)
-    }
-
     /// Memristor conductance to *program* so the cell reads as
     /// `g_desired` after the series transistor, clamped to the
     /// programmable window `[g_min, g_max]`.

@@ -5,8 +5,8 @@
 //! device-to-device spread in the drift exponent ν. The paper does not
 //! evaluate retention, but its variation machinery applies unchanged: a
 //! per-device random ν is just one more multiplicative disturbance, so
-//! VAT's guard band should buy retention time — an extension this module
-//! enables (see `vortex-core::retention`).
+//! VAT's guard band should buy retention time. [`DriftProcess`] is the
+//! one way the workspace ages a crossbar pair.
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::distributions::Normal;
@@ -84,28 +84,13 @@ impl RetentionModel {
         (1.0 + t_s.max(0.0) / self.tau_s).powf(-nu.max(0.0))
     }
 
-    /// Samples a full per-device decay-factor matrix at time `t_s`.
-    pub fn sample_decay_matrix(
-        &self,
-        rows: usize,
-        cols: usize,
-        t_s: f64,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> Matrix {
-        Matrix::from_fn(rows, cols, |_, _| {
-            self.decay_factor(self.sample_nu(rng), t_s)
-        })
-    }
-
     /// Samples one drift exponent per device, row-major (the sampling
     /// order is part of the determinism contract: the same generator
     /// state always yields the same matrix, bit for bit).
     ///
-    /// [`Self::sample_decay_matrix`] resamples ν on every call, so two
-    /// calls at different times describe two different populations.
-    /// Sampling ν once and evaluating [`Self::decay_matrix`] at several
-    /// times instead describes *one* population aging — decay is then
-    /// monotone in time per device, which is what lifetime simulations
+    /// Evaluating [`Self::decay_matrix`] of one sampled population at
+    /// several times describes that population aging: decay is monotone
+    /// in time per device, which is what lifetime simulations
     /// (drift-aged serving, canary probing) need.
     pub fn sample_nu_matrix(
         &self,
@@ -123,8 +108,8 @@ impl RetentionModel {
     }
 }
 
-/// **The** workspace drift implementation: a [`RetentionModel`] plus the
-/// seed its per-device exponents are drawn from.
+/// The single workspace drift implementation: a [`RetentionModel`] plus
+/// the seed its per-device exponents are drawn from.
 ///
 /// Every consumer that ages a differential crossbar pair — the chaos
 /// plan's one-shot aging (`CompiledModel::age_with`), the lifetime
@@ -195,7 +180,7 @@ mod tests {
         let m = model();
         assert_eq!(m.decay_factor(0.08, 0.0), 1.0);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        let d = m.sample_decay_matrix(5, 5, 0.0, &mut rng);
+        let d = m.decay_matrix(&m.sample_nu_matrix(5, 5, &mut rng), 0.0);
         assert!(d.as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-12));
     }
 
@@ -214,8 +199,9 @@ mod tests {
     fn spread_grows_with_time() {
         let m = model();
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
-        let early = m.sample_decay_matrix(50, 50, 1e2, &mut rng);
-        let late = m.sample_decay_matrix(50, 50, 1e7, &mut rng);
+        // Two independent populations, one observed early, one late.
+        let early = m.decay_matrix(&m.sample_nu_matrix(50, 50, &mut rng), 1e2);
+        let late = m.decay_matrix(&m.sample_nu_matrix(50, 50, &mut rng), 1e7);
         assert!(
             stats::std_dev(late.as_slice()) > stats::std_dev(early.as_slice()),
             "drift dispersion must grow with time"
@@ -297,7 +283,7 @@ mod tests {
     fn factors_in_unit_interval() {
         let m = model();
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
-        let d = m.sample_decay_matrix(30, 30, 1e5, &mut rng);
+        let d = m.decay_matrix(&m.sample_nu_matrix(30, 30, &mut rng), 1e5);
         assert!(d.as_slice().iter().all(|&v| v > 0.0 && v <= 1.0));
     }
 }

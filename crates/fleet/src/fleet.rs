@@ -21,7 +21,7 @@
 //! is atomic between batches), so callers never observe a torn model,
 //! only a replica that briefly takes less traffic.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,10 +75,6 @@ struct Replica {
     seed: u64,
     scheduler: Arc<Scheduler>,
     draining: AtomicBool,
-    /// Virtual age of the serving chip in seconds (f64 bits) — written
-    /// by whoever advances the fleet's lifetime clock
-    /// ([`Fleet::set_replica_age`]), reset by a successful heal.
-    age_s: AtomicU64,
 }
 
 /// N per-seed chip replicas behind one router. See the module docs.
@@ -146,7 +142,6 @@ impl Fleet {
                     seed,
                     scheduler: Arc::new(scheduler),
                     draining: AtomicBool::new(false),
-                    age_s: AtomicU64::new(0.0f64.to_bits()),
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -222,53 +217,6 @@ impl Fleet {
                 vortex_obs::gauge(&format!("fleet.replica.{i}.queue_depth")).set(depth as f64);
                 depth
             })
-            .collect()
-    }
-
-    /// Sets replica `idx`'s virtual age — how long the serving chip has
-    /// degraded since it was last programmed, on whatever lifetime clock
-    /// the operator runs (`vortex_serve::lifetime::DeviceTimeline`
-    /// timelines in the bench harness, wall-clock uptime in a real
-    /// deployment). Rolling deployments stagger these ages on purpose:
-    /// replicas then drift toward their canary floors at different
-    /// times, so heals never gang up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::InvalidParameter`] for a negative or
-    /// non-finite age.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range index.
-    pub fn set_replica_age(&self, idx: usize, age_s: f64) -> Result<()> {
-        if !(age_s.is_finite() && age_s >= 0.0) {
-            return Err(FleetError::InvalidParameter {
-                name: "age_s",
-                requirement: "must be finite and non-negative",
-            });
-        }
-        self.replicas[idx]
-            .age_s
-            .store(age_s.to_bits(), Ordering::Release);
-        vortex_obs::gauge(&format!("fleet.replica.{idx}.age_s")).set(age_s);
-        Ok(())
-    }
-
-    /// Replica `idx`'s virtual age in seconds (0 until aged or after a
-    /// successful heal).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range index.
-    pub fn replica_age(&self, idx: usize) -> f64 {
-        f64::from_bits(self.replicas[idx].age_s.load(Ordering::Acquire))
-    }
-
-    /// Every replica's virtual age, in fleet order.
-    pub fn replica_ages(&self) -> Vec<f64> {
-        (0..self.replicas.len())
-            .map(|i| self.replica_age(i))
             .collect()
     }
 
@@ -422,15 +370,6 @@ impl Fleet {
         let outcome = monitor.probe();
         self.undrain(idx);
         vortex_obs::counter!("fleet.heals").incr();
-        if let Ok(ProbeOutcome::Recovered { .. }) = &outcome {
-            // The replica serves a freshly programmed chip: its lifetime
-            // clock restarts, un-staggering it from the rest of the
-            // fleet.
-            self.replicas[idx]
-                .age_s
-                .store(0.0f64.to_bits(), Ordering::Release);
-            vortex_obs::gauge(&format!("fleet.replica.{idx}.age_s")).set(0.0);
-        }
         outcome.map_err(|source| FleetError::Replica {
             replica: idx,
             source,

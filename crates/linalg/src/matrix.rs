@@ -131,11 +131,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its flat row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics

@@ -37,11 +37,6 @@ impl LinearClassifier {
         &self.weights
     }
 
-    /// Consumes the classifier, returning its weights.
-    pub fn into_weights(self) -> Matrix {
-        self.weights
-    }
-
     /// Number of input features.
     pub fn num_features(&self) -> usize {
         self.weights.rows()
@@ -241,22 +236,6 @@ where
         }
     }
     correct as f64 / data.len() as f64
-}
-
-/// Predicted class for every sample of `data` through an arbitrary score
-/// function, in sample order — the batch-scoring counterpart of
-/// [`accuracy_with`] for callers that need the predictions themselves
-/// (e.g. a serving runtime comparing saved vs. loaded models).
-pub fn predictions_with<F>(data: &Dataset, mut score_fn: F) -> Vec<u8>
-where
-    F: FnMut(&[f64]) -> Vec<f64>,
-{
-    (0..data.len())
-        .map(|i| {
-            let scores = score_fn(data.image(i));
-            vector::argmax(&scores).unwrap_or(0) as u8
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -644,7 +644,9 @@ impl CompiledModel {
     ///
     /// Returns [`RuntimeError::Artifact`] for a bad magic, an unsupported
     /// version, a checksum mismatch, or truncated/malformed contents; a
-    /// structurally valid artifact with inconsistent model state yields
+    /// structurally valid artifact with inconsistent model state or
+    /// out-of-domain values (a non-finite or negative conductance, an
+    /// attenuation factor outside `[0, 1]`) yields
     /// [`RuntimeError::InvalidParameter`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let d = decode(bytes).map_err(RuntimeError::Artifact)?;

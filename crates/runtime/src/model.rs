@@ -322,7 +322,9 @@ impl CompiledModel {
 
     /// Assembles a model from its persisted parts, validating and
     /// rebuilding the derived read state. This is the single constructor
-    /// both [`Self::compile`] and the artifact decoder go through.
+    /// both [`Self::compile`] and the artifact decoder go through, so it
+    /// checks values as well as shapes: conductances must be finite and
+    /// non-negative, attenuation factors in `[0, 1]`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         fidelity: Fidelity,
@@ -369,6 +371,14 @@ impl CompiledModel {
                 requirement: "must be finite and non-negative",
             });
         }
+        for (name, g) in [("g_pos", &g_pos), ("g_neg", &g_neg)] {
+            if g.as_slice().iter().any(|&v| !(v.is_finite() && v >= 0.0)) {
+                return Err(RuntimeError::InvalidParameter {
+                    name,
+                    requirement: "conductances must be finite and non-negative",
+                });
+            }
+        }
         let mut seen = vec![false; physical_rows];
         for &q in &assignment {
             if q >= physical_rows || seen[q] {
@@ -383,7 +393,14 @@ impl CompiledModel {
             Fidelity::Calibrated => {
                 for att in [&att_pos, &att_neg] {
                     match att {
-                        Some(a) if a.shape() == g_pos.shape() => {}
+                        Some(a) if a.shape() == g_pos.shape() => {
+                            if a.as_slice().iter().any(|v| !(0.0..=1.0).contains(v)) {
+                                return Err(RuntimeError::InvalidParameter {
+                                    name: "attenuation",
+                                    requirement: "attenuation factors must lie in [0, 1]",
+                                });
+                            }
+                        }
                         _ => {
                             return Err(RuntimeError::InvalidParameter {
                                 name: "attenuation",

@@ -359,6 +359,32 @@ fn inflated_matrix_and_routing_counts_are_typed_errors() {
 }
 
 #[test]
+fn out_of_domain_matrix_values_are_typed_errors() {
+    // A CRC-valid artifact whose conductances are NaN or negative, or
+    // whose attenuation leaves [0, 1], must not load into wrong reads.
+    let model = compiled(6, 3, 3.0, Fidelity::Calibrated, 5);
+    for (tag, value, name) in [
+        (b"GPOS", f64::NAN, "g_pos"),
+        (b"GNEG", -1e-6, "g_neg"),
+        (b"APOS", 2.0, "attenuation"),
+    ] {
+        let mut bytes = model.to_bytes();
+        let tag_at = bytes
+            .windows(4)
+            .position(|w| w == tag)
+            .expect("section present");
+        // Past the rows and cols counts: the first matrix entry.
+        let at = tag_at + SECTION_HEADER + 16;
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        reseal_crc(&mut bytes);
+        match CompiledModel::from_bytes(&bytes) {
+            Err(RuntimeError::InvalidParameter { name: got, .. }) => assert_eq!(got, name),
+            other => panic!("expected InvalidParameter for {tag:?}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn wrong_magic_yields_bad_magic() {
     let mut bytes = compiled(6, 3, 0.0, Fidelity::Ideal, 5).to_bytes();
     bytes[0] = b'X';

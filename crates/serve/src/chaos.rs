@@ -26,7 +26,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-use vortex_device::drift::{DriftProcess, RetentionModel};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_runtime::CellFault;
 
@@ -245,17 +244,6 @@ impl ChaosPlan {
     /// plan carries no aging.
     pub fn drift(&self) -> Option<(f64, u64)> {
         (self.drift_t_s > 0.0).then_some((self.drift_t_s, self.drift_seed))
-    }
-
-    /// [`Self::drift`] expressed through the workspace's single drift
-    /// implementation: the age to evaluate at and the seeded
-    /// [`DriftProcess`] to evaluate (apply with
-    /// [`vortex_runtime::CompiledModel::age_with_process`]). Chaos aging
-    /// and the lifetime timeline (`crate::lifetime`) thereby share one
-    /// definition of "drift at time t", bit for bit.
-    pub fn drift_process(&self, retention: RetentionModel) -> Option<(f64, DriftProcess)> {
-        self.drift()
-            .map(|(t_s, seed)| (t_s, DriftProcess::new(retention, seed)))
     }
 
     /// Flips the planned bits of an artifact byte stream in place

@@ -6,7 +6,10 @@
 //! wire is a chain of segments with resistance `r_wire`; the memristor at
 //! `(i, j)` bridges row-wire node `T(i,j)` and column-wire node `B(i,j)`.
 //!
-//! The same mesh serves two bias conditions:
+//! The mesh has one boundary: every row wire is driven at a voltage
+//! through one segment at its left end, and every column wire is
+//! terminated at a voltage through one segment at its bottom. No line
+//! floats. The entry points differ only in those voltages:
 //!
 //! * **compute** — every row driven at its input voltage, every column at
 //!   virtual ground: the sensed column currents are the degraded analog
@@ -15,8 +18,13 @@
 //!   path, every other wire is held at V/2 (the half-select scheme,
 //!   §2.2.2): the solve yields the *actual* voltage across every device,
 //!   which is what the IR-drop analysis of §3.2 is about.
+//! * **transfer matrix** — every boundary at 0 V except one excited
+//!   column termination, once per column (see
+//!   [`NodalAnalysis::transfer_matrix`]).
 //!
-//! The resulting system is a symmetric positive definite conductance
+//! The stamped matrix therefore depends only on the conductances and the
+//! geometry; the boundary voltages enter the right-hand side alone. The
+//! resulting system is a symmetric positive definite conductance
 //! Laplacian with Dirichlet boundary segments. It is strongly
 //! anisotropic: a wire segment conducts `1 / r_wire` (≈ 0.4 S), a device
 //! 1–100 µS. Every solve runs conjugate gradient preconditioned with the
@@ -55,28 +63,6 @@ pub fn observe_solve_iterations(sink: fn(usize)) -> bool {
     SOLVE_OBSERVER.set(sink).is_ok()
 }
 
-/// Per-row drive condition for [`NodalAnalysis::compute_general`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RowDrive {
-    /// Row driven at the given voltage through one wire segment.
-    Voltage(f64),
-    /// Row driver disconnected — the row floats on whatever its devices
-    /// impose (the sneak-path condition).
-    Floating,
-}
-
-/// Per-column termination condition for
-/// [`NodalAnalysis::compute_general`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ColTermination {
-    /// Column terminated at the given voltage through one wire segment
-    /// (0 V = virtual-ground sensing).
-    Voltage(f64),
-    /// Column left unterminated — no sense amp attached; the column
-    /// floats and can carry sneak chains.
-    Floating,
-}
-
 /// Result of a compute-mode (read) circuit solve.
 #[derive(Debug, Clone)]
 pub struct ComputeSolution {
@@ -85,9 +71,6 @@ pub struct ComputeSolution {
     pub column_currents: Vec<f64>,
     /// Voltage across every device: `T(i,j) − B(i,j)`.
     pub device_voltages: Matrix,
-    /// Raw node voltages (row-wire nodes then column-wire nodes) — usable
-    /// as a warm start for a subsequent solve with similar inputs.
-    pub node_voltages: Vec<f64>,
 }
 
 /// Nodal analysis of an `rows × cols` crossbar mesh.
@@ -182,40 +165,23 @@ impl NodalAnalysis {
     fn solve_mesh(
         &self,
         g: &Matrix,
-        row_sources: &[f64],
-        col_terminations: &[f64],
-        warm_start: Option<&[f64]>,
+        row_voltages: &[f64],
+        col_voltages: &[f64],
     ) -> Result<Vec<f64>> {
-        let drives: Vec<RowDrive> = row_sources.iter().map(|&v| RowDrive::Voltage(v)).collect();
-        let terms: Vec<ColTermination> = col_terminations
-            .iter()
-            .map(|&v| ColTermination::Voltage(v))
-            .collect();
-        self.solve_mesh_general(g, &drives, &terms, warm_start)
-    }
-
-    /// [`Self::solve_mesh`] with per-row drive conditions: a row is either
-    /// driven at a voltage or left floating (its driver disconnected — the
-    /// condition under which sneak paths appear).
-    fn solve_mesh_general(
-        &self,
-        g: &Matrix,
-        row_drives: &[RowDrive],
-        col_terminations: &[ColTermination],
-        warm_start: Option<&[f64]>,
-    ) -> Result<Vec<f64>> {
-        let (a, rhs) = self.stamp(g, row_drives, col_terminations);
+        let (a, rhs) = self.stamp(g, row_voltages, col_voltages);
         let preconditioner = self.preconditioner(&a)?;
-        self.solve(&a, &rhs, warm_start, &preconditioner, &self.options)
+        self.solve(&a, &rhs, &preconditioner, &self.options)
     }
 
     /// Stamps the conductance Laplacian of the mesh and the right-hand
-    /// side its boundary voltages induce.
+    /// side its boundary voltages induce: row `i` is driven at
+    /// `row_voltages[i]`, column `j` terminated at `col_voltages[j]`,
+    /// each through one wire segment.
     fn stamp(
         &self,
         g: &Matrix,
-        row_drives: &[RowDrive],
-        col_terminations: &[ColTermination],
+        row_voltages: &[f64],
+        col_voltages: &[f64],
     ) -> (CsrMatrix, Vec<f64>) {
         let (m, n) = (self.rows, self.cols);
         let gw = self.g_wire;
@@ -235,13 +201,10 @@ impl NodalAnalysis {
                 a.add(t, b, -gd);
                 a.add(b, t, -gd);
 
-                // Row wire: left neighbour or driver (floating rows have
-                // no driver segment at all).
+                // Row wire: left neighbour or driver.
                 if j == 0 {
-                    if let RowDrive::Voltage(v) = row_drives[i] {
-                        a.add(t, t, gw);
-                        rhs[t] += gw * v;
-                    }
+                    a.add(t, t, gw);
+                    rhs[t] += gw * row_voltages[i];
                 } else {
                     let left = self.t_idx(i, j - 1);
                     a.add(t, t, gw);
@@ -250,13 +213,10 @@ impl NodalAnalysis {
                     a.add(left, t, -gw);
                 }
 
-                // Column wire: lower neighbour or termination (floating
-                // columns have no termination segment).
+                // Column wire: lower neighbour or termination.
                 if i == m - 1 {
-                    if let ColTermination::Voltage(v) = col_terminations[j] {
-                        a.add(b, b, gw);
-                        rhs[b] += gw * v;
-                    }
+                    a.add(b, b, gw);
+                    rhs[b] += gw * col_voltages[j];
                 } else {
                     let below = self.b_idx(i + 1, j);
                     a.add(b, b, gw);
@@ -300,12 +260,11 @@ impl NodalAnalysis {
         &self,
         a: &CsrMatrix,
         rhs: &[f64],
-        warm_start: Option<&[f64]>,
         preconditioner: &LinePreconditioner,
         options: &SolveOptions,
     ) -> Result<Vec<f64>> {
-        let report = preconditioned_cg(a, rhs, warm_start, preconditioner, options)
-            .map_err(XbarError::Numeric)?;
+        let report =
+            preconditioned_cg(a, rhs, None, preconditioner, options).map_err(XbarError::Numeric)?;
         if let Some(sink) = SOLVE_OBSERVER.get() {
             sink(report.iterations);
         }
@@ -341,9 +300,7 @@ impl NodalAnalysis {
     /// * [`XbarError::Numeric`] if a CG solve fails.
     pub fn transfer_matrix(&self, g: &Matrix) -> Result<Matrix> {
         self.check_shape(g)?;
-        let grounded_rows = vec![RowDrive::Voltage(0.0); self.rows];
-        let grounded_cols = vec![ColTermination::Voltage(0.0); self.cols];
-        let (a, mut rhs) = self.stamp(g, &grounded_rows, &grounded_cols);
+        let (a, mut rhs) = self.stamp(g, &vec![0.0; self.rows], &vec![0.0; self.cols]);
         let preconditioner = self.preconditioner(&a)?;
         let options = SolveOptions {
             tolerance: self.options.tolerance / self.rows as f64,
@@ -354,7 +311,7 @@ impl NodalAnalysis {
             let excited = self.b_idx(self.rows - 1, j);
             rhs.fill(0.0);
             rhs[excited] = self.g_wire;
-            let v = self.solve(&a, &rhs, None, &preconditioner, &options)?;
+            let v = self.solve(&a, &rhs, &preconditioner, &options)?;
             for i in 0..self.rows {
                 t[(i, j)] = self.g_wire * v[self.t_idx(i, 0)];
             }
@@ -371,21 +328,6 @@ impl NodalAnalysis {
     ///   geometry.
     /// * [`XbarError::Numeric`] if the CG solve fails.
     pub fn compute(&self, g: &Matrix, x: &[f64]) -> Result<ComputeSolution> {
-        self.compute_with_warm_start(g, x, None)
-    }
-
-    /// [`Self::compute`] with an optional warm start from a previous
-    /// solution's `node_voltages`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::compute`].
-    pub fn compute_with_warm_start(
-        &self,
-        g: &Matrix,
-        x: &[f64],
-        warm_start: Option<&[f64]>,
-    ) -> Result<ComputeSolution> {
         self.check_shape(g)?;
         if x.len() != self.rows {
             return Err(XbarError::ShapeMismatch {
@@ -394,8 +336,7 @@ impl NodalAnalysis {
                 actual: x.len(),
             });
         }
-        let zeros = vec![0.0; self.cols];
-        let v = self.solve_mesh(g, x, &zeros, warm_start)?;
+        let v = self.solve_mesh(g, x, &vec![0.0; self.cols])?;
         let currents = (0..self.cols)
             .map(|j| self.g_wire * v[self.b_idx(self.rows - 1, j)])
             .collect();
@@ -405,54 +346,6 @@ impl NodalAnalysis {
         Ok(ComputeSolution {
             column_currents: currents,
             device_voltages,
-            node_voltages: v,
-        })
-    }
-
-    /// General read solve with arbitrary per-row drive conditions and
-    /// per-column termination voltages. This is the tool behind the
-    /// sneak-path analysis ([`crate::sneak`]): floating rows let current
-    /// creep through multi-device series paths.
-    ///
-    /// # Errors
-    ///
-    /// * [`XbarError::ShapeMismatch`] if dimensions disagree.
-    /// * [`XbarError::Numeric`] if the solve fails.
-    pub fn compute_general(
-        &self,
-        g: &Matrix,
-        row_drives: &[RowDrive],
-        col_terminations: &[ColTermination],
-    ) -> Result<ComputeSolution> {
-        self.check_shape(g)?;
-        if row_drives.len() != self.rows {
-            return Err(XbarError::ShapeMismatch {
-                context: "compute_general row drives",
-                expected: self.rows,
-                actual: row_drives.len(),
-            });
-        }
-        if col_terminations.len() != self.cols {
-            return Err(XbarError::ShapeMismatch {
-                context: "compute_general column terminations",
-                expected: self.cols,
-                actual: col_terminations.len(),
-            });
-        }
-        let v = self.solve_mesh_general(g, row_drives, col_terminations, None)?;
-        let currents = (0..self.cols)
-            .map(|j| match col_terminations[j] {
-                ColTermination::Voltage(vt) => self.g_wire * (v[self.b_idx(self.rows - 1, j)] - vt),
-                ColTermination::Floating => 0.0,
-            })
-            .collect();
-        let device_voltages = Matrix::from_fn(self.rows, self.cols, |i, j| {
-            v[self.t_idx(i, j)] - v[self.b_idx(i, j)]
-        });
-        Ok(ComputeSolution {
-            column_currents: currents,
-            device_voltages,
-            node_voltages: v,
         })
     }
 
@@ -490,7 +383,7 @@ impl NodalAnalysis {
         let col_terms: Vec<f64> = (0..self.cols)
             .map(|j| if j == q { 0.0 } else { half })
             .collect();
-        let v = self.solve_mesh(g, &row_sources, &col_terms, None)?;
+        let v = self.solve_mesh(g, &row_sources, &col_terms)?;
         Ok(Matrix::from_fn(self.rows, self.cols, |i, j| {
             v[self.t_idx(i, j)] - v[self.b_idx(i, j)]
         }))
@@ -549,6 +442,63 @@ mod tests {
         max_gap(a.as_slice(), b.as_slice())
     }
 
+    /// FNV-1a over the bit patterns of `values`, one 64-bit word each.
+    fn bit_hash<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every mesh entry point, bit for bit: compute's column currents
+    /// and device voltages, program bias at a corner and an interior
+    /// cell, and the transfer matrix. Stamping, preconditioning or CG
+    /// changes that move one bit fail here, where this module's
+    /// tolerance tests would pass.
+    #[test]
+    fn mesh_entry_points_are_bit_pinned() {
+        let pins: [(usize, usize, [u64; 5]); 2] = [
+            (
+                12,
+                5,
+                [
+                    0x3d4655d3b24f7636,
+                    0x5ee87d77de0baeee,
+                    0x98460eaf020fd72b,
+                    0x7c4108fadfa8e6d5,
+                    0x9cd53ad1dbeabe12,
+                ],
+            ),
+            (
+                49,
+                10,
+                [
+                    0x33a15a404107096f,
+                    0xdae2a03c71ea387f,
+                    0x6c96fb90ec056537,
+                    0xd5bfe74fe2c9a2da,
+                    0x099dfb22e1f589c6,
+                ],
+            ),
+        ];
+        for (rows, cols, want) in pins {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64((rows * cols) as u64);
+            let g = random_mesh(rows, cols, &mut rng);
+            let x: Vec<f64> = (0..rows).map(|_| rng.next_f64()).collect();
+            let na = NodalAnalysis::new(rows, cols, 2.5).unwrap();
+            let sol = na.compute(&g, &x).unwrap();
+            let corner = na.program_bias(&g, (0, cols - 1), 2.8).unwrap();
+            let interior = na.program_bias(&g, (rows / 2, cols / 2), 2.8).unwrap();
+            let got = [
+                bit_hash(&sol.column_currents),
+                bit_hash(sol.device_voltages.as_slice()),
+                bit_hash(corner.as_slice()),
+                bit_hash(interior.as_slice()),
+                bit_hash(na.transfer_matrix(&g).unwrap().as_slice()),
+            ];
+            assert_eq!(got, want, "{rows}×{cols} mesh moved");
+        }
+    }
+
     #[test]
     fn wire_line_solves_converge_in_a_few_iterations() {
         // Point preconditioning needs ≈550 iterations at 216×10 (more at
@@ -585,14 +535,10 @@ mod tests {
         /// max(rows, cols)` segments to a driven boundary), so with `N`
         /// nodes a sensed current (or transfer entry) is off by at most
         /// `N·L·tol` and a device voltage by `2·N·L·r_wire·tol`.
-        /// Floating rows or columns void the voltage bound, not the
-        /// current one: a sensed node sits one segment from its
-        /// termination.
         #[test]
         fn line_and_jacobi_solves_match_a_tight_solve(rows in 2usize..12,
                                                       cols in 2usize..6,
                                                       r_wire in 0.5..20.0f64,
-                                                      floating in proptest::num::u64::ANY,
                                                       seed in proptest::num::u64::ANY) {
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
             let g = random_mesh(rows, cols, &mut rng);
@@ -607,26 +553,15 @@ mod tests {
             let n_l = (2 * rows * cols * rows.max(cols)) as f64;
             let current_bound = n_l * tol;
             let voltage_bound = 2.0 * n_l * r_wire * tol;
-            // Float about a third of the rows and columns, keeping at
-            // least one of each driven.
-            let drives: Vec<RowDrive> = (0..rows)
-                .map(|i| if i > 0 && (floating >> i) % 3 == 0 { RowDrive::Floating } else { RowDrive::Voltage(x[i]) })
-                .collect();
-            let terms: Vec<ColTermination> = (0..cols)
-                .map(|j| if j > 0 && (floating >> (16 + j)) % 3 == 0 { ColTermination::Floating } else { ColTermination::Voltage(0.0) })
-                .collect();
             let selected = (seed as usize % rows, (seed >> 8) as usize % cols);
 
             let reference = tight.compute(&g, &x).unwrap();
-            let reference_general = tight.compute_general(&g, &drives, &terms).unwrap();
             let reference_bias = tight.program_bias(&g, selected, 2.8).unwrap();
             let reference_t = tight.transfer_matrix(&g).unwrap();
             for na in [&line, &jacobi] {
                 let sol = na.compute(&g, &x).unwrap();
                 prop_assert!(max_gap(&sol.column_currents, &reference.column_currents) <= current_bound);
                 prop_assert!(matrix_gap(&sol.device_voltages, &reference.device_voltages) <= voltage_bound);
-                let general = na.compute_general(&g, &drives, &terms).unwrap();
-                prop_assert!(max_gap(&general.column_currents, &reference_general.column_currents) <= current_bound);
                 let bias = na.program_bias(&g, selected, 2.8).unwrap();
                 prop_assert!(matrix_gap(&bias, &reference_bias) <= voltage_bound);
                 let t = na.transfer_matrix(&g).unwrap();
@@ -732,20 +667,6 @@ mod tests {
             far < near,
             "far cell should be more degraded: far={far} near={near}"
         );
-    }
-
-    #[test]
-    fn compute_warm_start_matches_cold() {
-        let na = NodalAnalysis::new(5, 3, 2.5).unwrap();
-        let g = Matrix::from_fn(5, 3, |i, j| 1e-5 * (1 + i + j) as f64);
-        let x = [1.0, 0.0, 1.0, 0.5, 0.25];
-        let cold = na.compute(&g, &x).unwrap();
-        let warm = na
-            .compute_with_warm_start(&g, &x, Some(&cold.node_voltages))
-            .unwrap();
-        for (a, b) in cold.column_currents.iter().zip(&warm.column_currents) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -231,14 +231,6 @@ impl ComputeAttenuationMap {
         &self.attenuation
     }
 
-    /// Rebuilds a map from a raw attenuation matrix (values clamped to
-    /// `[0, 1]`), e.g. one thawed from a persisted artifact.
-    pub fn from_attenuation(attenuation: Matrix) -> Self {
-        Self {
-            attenuation: attenuation.map(|a| a.clamp(0.0, 1.0)),
-        }
-    }
-
     /// Effective conductance matrix `g_ij·a_ij` to use with the ideal MVM.
     pub fn effective_conductances(&self, g: &Matrix) -> Matrix {
         g.hadamard(&self.attenuation)

@@ -53,7 +53,6 @@ pub mod pair;
 pub mod pretest;
 pub mod program;
 pub mod sensing;
-pub mod sneak;
 
 pub use crossbar::{Crossbar, CrossbarConfig};
 pub use encoding::{EncodingScheme, EncodingSpec, EncodingTable, WeightEncoding};

@@ -26,13 +26,14 @@ fn mesh_solver_conserves_current() {
     let x: Vec<f64> = (0..m).map(|i| 0.2 + 0.05 * i as f64).collect();
     let sol = na.compute(&g, &x).expect("solve");
     let out_total: f64 = sol.column_currents.iter().sum();
-    // Input current per row = g_wire · (v_source − first node voltage).
-    let g_wire = 1.0 / 3.0;
-    let mut in_total = 0.0;
-    for (i, &xi) in x.iter().enumerate() {
-        let first = sol.node_voltages[i * n];
-        in_total += g_wire * (xi - first);
-    }
+    // Everything the row drivers inject leaves the row wires through the
+    // devices: I_in = Σ g_ij · (T(i,j) − B(i,j)).
+    let in_total: f64 = g
+        .as_slice()
+        .iter()
+        .zip(sol.device_voltages.as_slice())
+        .map(|(gd, vd)| gd * vd)
+        .sum();
     assert!(
         (in_total - out_total).abs() / out_total.abs() < 1e-5,
         "KCL violated: in {in_total} vs out {out_total}"
