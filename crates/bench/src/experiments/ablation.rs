@@ -179,9 +179,9 @@ pub fn solver_ablation(n: usize, seed: u64) -> SolverAblation {
         })
         .collect();
     let opts = iterative::SolveOptions::with_tolerance(1e-9);
-    let jacobi = iterative::conjugate_gradient(&a, &b, None, &opts).expect("jacobi cg");
+    let jacobi = iterative::conjugate_gradient(&a, &b, &opts).expect("jacobi cg");
     let lines = iterative::LinePreconditioner::new(&a, wires).expect("wire lines");
-    let line = iterative::preconditioned_cg(&a, &b, None, &lines, &opts).expect("line cg");
+    let line = iterative::preconditioned_cg(&a, &b, &lines, &opts).expect("line cg");
     let dense = lu::solve(&a.to_dense(), &b).expect("lu");
     let gap = |x: &[f64]| {
         x.iter()

@@ -35,6 +35,7 @@ use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
+use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::metrics::{accuracy_of_weights, Rates};
 use vortex_xbar::irdrop::{update_rate_profile, ProgramVoltageMap};
 use vortex_xbar::pair::WeightMapping;
@@ -166,14 +167,22 @@ impl CldTrainer {
             Some(bits) => Some(Adc::new(bits, self.sense_full_scale).map_err(CoreError::Xbar)?),
             None => None,
         };
+        // Each draw trains its own fabricated chip on its own pre-split
+        // stream; draws fan out bit-identically on any worker count.
+        let draws = run_trials(rng, self.mc_draws, Parallelism::Auto, |_, draw_rng| {
+            self.train_on_device(train, env, adc.as_ref(), draw_rng)
+                .map(|realized| {
+                    let train_rate = accuracy_of_weights(&realized, train);
+                    (train_rate, accuracy_of_weights(&realized, test), realized)
+                })
+        });
         let mut per_draw = Vec::with_capacity(self.mc_draws);
         let mut train_rates = Vec::with_capacity(self.mc_draws);
         let mut last_weights = Matrix::zeros(train.num_features(), train.num_classes());
-        for _ in 0..self.mc_draws {
-            let mut draw_rng = rng.split();
-            let realized = self.train_on_device(train, env, adc.as_ref(), &mut draw_rng)?;
-            train_rates.push(accuracy_of_weights(&realized, train));
-            per_draw.push(accuracy_of_weights(&realized, test));
+        for draw in draws {
+            let (train_rate, test_rate, realized) = draw?;
+            train_rates.push(train_rate);
+            per_draw.push(test_rate);
             last_weights = realized;
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;

@@ -251,29 +251,46 @@ pub fn evaluate_hardware_with(
     rng: &mut Xoshiro256PlusPlus,
     parallelism: Parallelism,
 ) -> Result<HardwareEvaluation> {
-    if mc_draws == 0 {
-        return Err(CoreError::InvalidParameter {
-            name: "mc_draws",
-            requirement: "must be positive",
-        });
-    }
     if weights.rows() != mapping.logical_rows() {
         return Err(CoreError::InvalidParameter {
             name: "mapping",
             requirement: "logical row count must match the weight matrix",
         });
     }
-    let _span = vortex_obs::span!("pipeline.evaluate_seconds");
-    vortex_obs::counter!("pipeline.evaluations").incr();
-    vortex_obs::counter!("pipeline.draws").add(mc_draws as u64);
     let compiler = env.compiler().with_calibration(&test.mean_input());
-    let draws = run_trials(rng, mc_draws, parallelism, |_, draw_rng| {
+    evaluate_draws(rng, mc_draws, parallelism, |draw_rng| {
         // Compile once per fabrication draw, then batch-infer the test
         // set through the frozen read path.
         let model = compiler.request(weights, mapping).compile_with(draw_rng)?;
         score_model(&model, test)
-    });
-    let per_draw = draws.into_iter().collect::<Result<Vec<f64>>>()?;
+    })
+}
+
+/// The Monte-Carlo harness behind every [`HardwareEvaluation`]: scores
+/// `mc_draws` chips with `score_draw`, each on its own stream pre-split
+/// from `rng` by [`run_trials`], and averages them. Rejects zero draws;
+/// when several draws fail, returns the error of the earliest (by draw
+/// index), independent of scheduling.
+pub(crate) fn evaluate_draws(
+    rng: &mut Xoshiro256PlusPlus,
+    mc_draws: usize,
+    parallelism: Parallelism,
+    score_draw: impl Fn(&mut Xoshiro256PlusPlus) -> Result<f64> + Sync,
+) -> Result<HardwareEvaluation> {
+    if mc_draws == 0 {
+        return Err(CoreError::InvalidParameter {
+            name: "mc_draws",
+            requirement: "must be positive",
+        });
+    }
+    let _span = vortex_obs::span!("pipeline.evaluate_seconds");
+    vortex_obs::counter!("pipeline.evaluations").incr();
+    vortex_obs::counter!("pipeline.draws").add(mc_draws as u64);
+    let per_draw = run_trials(rng, mc_draws, parallelism, |_, draw_rng| {
+        score_draw(draw_rng)
+    })
+    .into_iter()
+    .collect::<Result<Vec<f64>>>()?;
     let mean_test_rate = per_draw.iter().sum::<f64>() / per_draw.len() as f64;
     Ok(HardwareEvaluation {
         mean_test_rate,
@@ -627,7 +644,7 @@ impl CompileRequest<'_> {
 }
 
 /// Scores a compiled model on `test` (serial batched inference).
-fn score_model(model: &CompiledModel, test: &Dataset) -> Result<f64> {
+pub(crate) fn score_model(model: &CompiledModel, test: &Dataset) -> Result<f64> {
     let _span = vortex_obs::span!("pipeline.score_seconds");
     model.accuracy(test).map_err(|e| match e {
         // Shape problems are caller bugs and surface as such; read-path
@@ -638,28 +655,6 @@ fn score_model(model: &CompiledModel, test: &Dataset) -> Result<f64> {
             requirement: "hardware read failed during scoring",
         },
     })
-}
-
-/// Scores a programmed pair on `test` under the environment's read path.
-///
-/// The pair is frozen into a [`CompiledModel`] (compile-once) and the
-/// test set is batch-inferred through it — bit-exact with the historical
-/// per-sample live read.
-///
-/// # Errors
-///
-/// Propagates readout errors.
-pub fn score_pair(
-    pair: &DifferentialPair,
-    mapping: &RowMapping,
-    env: &HardwareEnv,
-    test: &Dataset,
-) -> Result<f64> {
-    let model = env
-        .compiler()
-        .with_calibration(&test.mean_input())
-        .freeze(pair, mapping)?;
-    score_model(&model, test)
 }
 
 #[cfg(test)]

@@ -8,16 +8,27 @@
 //! keeps every physical array inside the benign regime at the cost of a
 //! digital adder per column — the standard architectural answer in
 //! crossbar accelerators.
+//!
+//! Every tile is a chip of its own, built by the same route as the
+//! monolithic AMP harness: fabricate, optional per-tile AMP, program,
+//! then [`ModelCompiler::freeze`], calibrated on the tile's slice of the
+//! mean test input. Freezing there
+//! gives a tile everything a monolithic chip gets: the 1T-1R
+//! access-transistor mapping of [`HardwareEnv::cell`], an ADC sized by
+//! the tile's own physical rows (spare rows included, a short last tile
+//! smaller), and the env's input DAC. Draws fan out over
+//! [`run_trials`](vortex_nn::executor::run_trials), so results are
+//! bit-identical on any worker count.
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 use vortex_nn::classifier::accuracy_with;
 use vortex_nn::dataset::Dataset;
+use vortex_nn::executor::Parallelism;
 
-use crate::amp::greedy::RowMapping;
-use crate::pipeline::{HardwareEnv, HardwareEvaluation, ReadFidelity};
-use crate::vortex::{fabricate_pair, pretest_and_plan, program_mapped_with, AmpChipOptions};
+use crate::pipeline::{evaluate_draws, HardwareEnv, HardwareEvaluation, ModelCompiler};
+use crate::vortex::{compile_chip, AmpChipOptions};
 use crate::{CoreError, Result};
 
 /// Tiled hardware evaluator.
@@ -95,108 +106,66 @@ impl TiledEvaluator {
         mc_draws: usize,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Result<HardwareEvaluation> {
-        if mc_draws == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "mc_draws",
-                requirement: "must be positive",
-            });
-        }
         if mean_abs_input.len() != weights.rows() {
             return Err(CoreError::InvalidParameter {
                 name: "mean_abs_input",
                 requirement: "length must match the weight-matrix rows",
             });
         }
-        let ranges = self.tile_ranges(weights.rows());
-        let mut per_draw = Vec::with_capacity(mc_draws);
-        for _ in 0..mc_draws {
-            let mut draw_rng = rng.split();
-            per_draw.push(self.evaluate_one(
-                weights,
-                mean_abs_input,
-                &ranges,
-                env,
-                test,
-                &mut draw_rng,
-            )?);
-        }
-        let mean_test_rate = per_draw.iter().sum::<f64>() / per_draw.len() as f64;
-        Ok(HardwareEvaluation {
-            mean_test_rate,
-            per_draw,
+        let mean_input = test.mean_input();
+        let tiles: Vec<Tile> = self
+            .tile_ranges(weights.rows())
+            .into_iter()
+            .map(|range| {
+                let rows: Vec<usize> = range.clone().collect();
+                Tile {
+                    weights: weights.select_rows(&rows),
+                    mean_abs_input: mean_abs_input[range.clone()].to_vec(),
+                    compiler: env.compiler().with_calibration(&mean_input[range.clone()]),
+                    range,
+                }
+            })
+            .collect();
+        evaluate_draws(rng, mc_draws, Parallelism::Auto, |draw_rng| {
+            self.evaluate_one(&tiles, weights.cols(), test, draw_rng)
         })
     }
 
+    /// Compiles one chip per tile from `rng`, in tile order, and scores
+    /// the digitally summed tile outputs on `test`.
     fn evaluate_one(
         &self,
-        weights: &Matrix,
-        mean_abs_input: &[f64],
-        ranges: &[std::ops::Range<usize>],
-        env: &HardwareEnv,
+        tiles: &[Tile],
+        cols: usize,
         test: &Dataset,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Result<f64> {
-        use vortex_runtime::{CompiledModel, Fidelity, ReadOptions};
-
-        let cols = weights.cols();
-        let mean_input = test.mean_input();
-        // Tiles share one ADC sized for the tile row count; the tile
-        // inputs are already digital, so no per-tile DAC.
-        let mut options = ReadOptions::new(match env.read_fidelity {
-            ReadFidelity::Ideal => Fidelity::Ideal,
-            ReadFidelity::FastIrDrop => Fidelity::Calibrated,
-            ReadFidelity::ExactIrDrop => Fidelity::Exact,
-        });
-        options.adc = env.read_adc(self.tile_rows)?;
-        let mut tiles = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let rows: Vec<usize> = range.clone().collect();
-            let tile_weights = weights.select_rows(&rows);
-            let tile_mean_abs: Vec<f64> = rows.iter().map(|&i| mean_abs_input[i]).collect();
-            let physical_rows =
-                tile_weights.rows() + self.amp.as_ref().map_or(0, |a| a.redundant_rows);
-            let mut pair = fabricate_pair(cols, physical_rows, env, rng)?;
-            let (mapping, mults) = match &self.amp {
-                Some(opts) => {
-                    let plan =
-                        pretest_and_plan(&mut pair, &tile_weights, &tile_mean_abs, opts, env, rng)?;
-                    let mults = if opts.pretest_compensation {
-                        Some((plan.mult_pos.clone(), plan.mult_neg.clone()))
-                    } else {
-                        None
-                    };
-                    (plan.mapping, mults)
-                }
-                None => (
-                    RowMapping::identity_into(tile_weights.rows(), physical_rows),
-                    None,
-                ),
-            };
-            program_mapped_with(
-                &mut pair,
-                &tile_weights,
-                &mapping,
-                mults.as_ref().map(|(p, n)| (p, n)),
-                env,
-                rng,
-            )?;
-            let tile_ref: Vec<f64> = range.clone().map(|i| mean_input[i]).collect();
-            let model = CompiledModel::compile(
-                &pair.freeze(),
-                mapping.assignment(),
-                &options,
-                Some(&tile_ref),
-            )
-            .map_err(CoreError::Runtime)?;
-            tiles.push((range.clone(), model));
-        }
+        let spare_rows = self.amp.as_ref().map_or(0, |a| a.redundant_rows);
+        let models = tiles
+            .iter()
+            .map(|tile| {
+                let physical_rows = tile.weights.rows() + spare_rows;
+                let amp = self
+                    .amp
+                    .as_ref()
+                    .map(|opts| (opts, tile.mean_abs_input.as_slice()));
+                compile_chip(
+                    &tile.compiler,
+                    &tile.weights,
+                    physical_rows,
+                    amp,
+                    |_| Ok(None),
+                    rng,
+                )
+                .map(|(model, _)| model)
+            })
+            .collect::<Result<Vec<_>>>()?;
 
         let mut failed = false;
         let acc = accuracy_with(test, |x| {
             let mut y = vec![0.0; cols];
-            for (range, model) in &tiles {
-                let x_tile: Vec<f64> = range.clone().map(|i| x[i]).collect();
-                match model.scores(&x_tile) {
+            for (tile, model) in tiles.iter().zip(&models) {
+                match model.scores(&x[tile.range.clone()]) {
                     Ok(part) => {
                         for (acc_j, p) in y.iter_mut().zip(&part) {
                             *acc_j += p;
@@ -217,12 +186,23 @@ impl TiledEvaluator {
     }
 }
 
+/// One tile's share of the weight matrix, fixed across draws.
+struct Tile {
+    /// The weight rows this tile holds.
+    range: std::ops::Range<usize>,
+    weights: Matrix,
+    mean_abs_input: Vec<f64>,
+    /// Calibrated on the tile's slice of the mean test input.
+    compiler: ModelCompiler,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::amp::greedy::RowMapping as Mapping;
     use crate::amp::sensitivity::mean_abs_inputs;
     use crate::pipeline::evaluate_hardware;
+    use vortex_device::cell::CellKind;
     use vortex_nn::dataset::{DatasetConfig, SynthDigits};
     use vortex_nn::gdt::GdtTrainer;
     use vortex_nn::split::stratified_split;
@@ -272,6 +252,44 @@ mod tests {
             tiled.mean_test_rate,
             mono.mean_test_rate
         );
+    }
+
+    #[test]
+    fn one_tile_is_bit_equal_to_the_monolithic_harness() {
+        // A tile covering every row, without AMP, is the monolithic chip:
+        // same fabrication stream, same programming, same freeze (1T-1R
+        // access-transistor mapping, converters, calibration). So its
+        // per-draw rates must match `evaluate_hardware` bit for bit.
+        let (train, test, w) = setup();
+        let mean_abs = mean_abs_inputs(&train);
+        let one_r = HardwareEnv::with_sigma(0.3).unwrap();
+        let mut one_t1r = one_r;
+        one_t1r.cell = CellKind::one_t1r(2.0e4).unwrap();
+        let mut one_t1r_wide = HardwareEnv::with_sigma(0.5).unwrap();
+        one_t1r_wide.cell = CellKind::one_t1r(5.0e3).unwrap();
+        for (name, env) in [
+            ("1R", one_r),
+            ("1R + IR drop", one_r.with_ir_drop(5.0)),
+            ("1T-1R", one_t1r),
+            ("1T-1R + IR drop", one_t1r.with_ir_drop(5.0)),
+            ("1T-1R 5 kOhm", one_t1r_wide),
+        ] {
+            let mono =
+                evaluate_hardware(&w, &Mapping::identity(w.rows()), &env, &test, 3, &mut rng())
+                    .unwrap();
+            let tiled = TiledEvaluator::new(w.rows())
+                .unwrap()
+                .evaluate(&w, &mean_abs, &env, &test, 3, &mut rng())
+                .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&tiled.per_draw),
+                bits(&mono.per_draw),
+                "{name}: tiled {:?} vs monolithic {:?}",
+                tiled.per_draw,
+                mono.per_draw
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
 use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::metrics::{accuracy_of_weights, Rates};
+use vortex_runtime::CompiledModel;
 use vortex_xbar::crossbar::Crossbar;
 use vortex_xbar::irdrop::ProgramVoltageMap;
 use vortex_xbar::pair::{DifferentialPair, WeightMapping};
@@ -32,7 +33,9 @@ use vortex_xbar::sensing::Adc;
 use crate::amp::greedy::{greedy_map, RowMapping};
 use crate::amp::redundancy::{defective_rows_pair, exclude_physical_rows};
 use crate::amp::{sensitivity, swv};
-use crate::pipeline::{score_pair, HardwareEnv};
+use crate::pipeline::{
+    evaluate_draws, score_model, HardwareEnv, HardwareEvaluation, ModelCompiler,
+};
 use crate::tuning::{GammaPoint, SelfTuner};
 use crate::vat::VatTrainer;
 use crate::{CoreError, Result};
@@ -166,21 +169,36 @@ impl VortexPipeline {
         let training_rate = accuracy_of_weights(&weights, train);
 
         // 2. Per-chip mapping, programming and scoring.
-        let n_logical = weights.rows();
-        let physical_rows = n_logical + cfg.redundant_rows;
+        let physical_rows = weights.rows() + cfg.redundant_rows;
         let mean_abs_input = sensitivity::mean_abs_inputs(train);
+        let amp_opts = AmpChipOptions {
+            pretest_bits: cfg.pretest_bits,
+            pretest_repeats: cfg.pretest_repeats,
+            defect_theta_threshold: cfg.defect_theta_threshold,
+            redundant_rows: cfg.redundant_rows,
+            pretest_compensation: false,
+        };
+        let amp = cfg
+            .use_amp
+            .then_some((&amp_opts, mean_abs_input.as_slice()));
+        let compiler = env.compiler().with_calibration(&test.mean_input());
         // Chips fabricate independently: pre-split one stream per draw and
         // fan out (bit-identical to the serial loop for any pool size).
         let draws = run_trials(rng, cfg.mc_draws, cfg.parallelism, |_, draw_rng| {
-            self.run_one_chip(
-                &weights,
-                &mean_abs_input,
-                physical_rows,
-                train,
-                test,
-                env,
-                draw_rng,
-            )
+            // §4.3: the reduced effective variation after AMP can justify
+            // a smaller penalty; optionally re-train against it.
+            let retune = |eff: f64| -> Result<Option<Matrix>> {
+                if cfg.retune_after_amp && cfg.use_vat && eff > 0.0 {
+                    Ok(Some(
+                        cfg.tuner.tune(&cfg.vat.with_sigma(eff), train)?.weights,
+                    ))
+                } else {
+                    Ok(None)
+                }
+            };
+            let (model, eff_sigma) =
+                compile_chip(&compiler, &weights, physical_rows, amp, retune, draw_rng)?;
+            Ok::<_, CoreError>((score_model(&model, test)?, eff_sigma))
         });
         let mut per_draw = Vec::with_capacity(cfg.mc_draws);
         let mut sigma_acc = 0.0;
@@ -202,60 +220,10 @@ impl VortexPipeline {
             effective_sigma_mean: sigma_acc / cfg.mc_draws.max(1) as f64,
         })
     }
-
-    /// Fabricate, pre-test, map, (optionally re-train), program and score
-    /// one chip. Returns (test rate, effective σ).
-    #[allow(clippy::too_many_arguments)]
-    fn run_one_chip(
-        &self,
-        weights: &Matrix,
-        mean_abs_input: &[f64],
-        physical_rows: usize,
-        train: &Dataset,
-        test: &Dataset,
-        env: &HardwareEnv,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> Result<(f64, f64)> {
-        let cfg = &self.config;
-        let mut pair = fabricate_pair(weights.cols(), physical_rows, env, rng)?;
-
-        // Pre-test and plan the mapping.
-        let (mapping, eff_sigma, weights_final) = if cfg.use_amp {
-            let opts = AmpChipOptions {
-                pretest_bits: cfg.pretest_bits,
-                pretest_repeats: cfg.pretest_repeats,
-                defect_theta_threshold: cfg.defect_theta_threshold,
-                redundant_rows: cfg.redundant_rows,
-                pretest_compensation: false,
-            };
-            let plan = pretest_and_plan(&mut pair, weights, mean_abs_input, &opts, env, rng)?;
-            let (mapping, eff) = (plan.mapping, plan.effective_sigma);
-
-            // §4.3: the reduced effective variation can justify a smaller
-            // penalty; optionally re-train against it.
-            let weights_final = if cfg.retune_after_amp && cfg.use_vat && eff > 0.0 {
-                let retuned = cfg.tuner.tune(&cfg.vat.with_sigma(eff), train)?;
-                retuned.weights
-            } else {
-                weights.clone()
-            };
-            (mapping, eff, weights_final)
-        } else {
-            (
-                RowMapping::identity_into(weights.rows(), physical_rows),
-                env.variation.sigma(),
-                weights.clone(),
-            )
-        };
-
-        program_mapped(&mut pair, &weights_final, &mapping, env, rng)?;
-        let rate = score_pair(&pair, &mapping, env, test)?;
-        Ok((rate, eff_sigma))
-    }
 }
 
-/// Chip-level AMP options (shared by [`VortexPipeline`] and
-/// [`amp_evaluate`]).
+/// Chip-level AMP options (shared by [`VortexPipeline`], [`amp_evaluate`]
+/// and per-tile AMP in [`TiledEvaluator`](crate::tiling::TiledEvaluator)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AmpChipOptions {
     /// Pre-test ADC resolution in bits.
@@ -388,32 +356,63 @@ pub fn program_mapped(
     env: &HardwareEnv,
     rng: &mut Xoshiro256PlusPlus,
 ) -> Result<()> {
-    program_mapped_with(pair, weights, mapping, None, env, rng)
-}
-
-/// [`program_mapped`] with optional per-cell pre-test compensation: when
-/// `pretest_mults = Some((pos, neg))`, every conductance target is divided
-/// by the corresponding measured multiplier before pulse pre-calculation
-/// (see [`compensate_targets`]).
-///
-/// # Errors
-///
-/// Propagates programming errors.
-pub fn program_mapped_with(
-    pair: &mut DifferentialPair,
-    weights: &Matrix,
-    mapping: &RowMapping,
-    pretest_mults: Option<(&Matrix, &Matrix)>,
-    env: &HardwareEnv,
-    rng: &mut Xoshiro256PlusPlus,
-) -> Result<()> {
     let physical_weights = mapping.apply_to_rows(weights, 0.0);
     let (targets_pos, targets_neg) = pair.mapping().weights_to_targets(&physical_weights);
-    program_targets(pair, targets_pos, targets_neg, pretest_mults, env, rng)
+    program_targets(pair, targets_pos, targets_neg, None, env, rng)
+}
+
+/// The one route by which the Monte-Carlo harnesses turn weights into a
+/// chip ([`amp_evaluate`], [`VortexPipeline::run`] and every tile of
+/// [`TiledEvaluator`](crate::tiling::TiledEvaluator)):
+///
+/// 1. fabricate a pair with `physical_rows` rows on `compiler`'s
+///    substrate;
+/// 2. with `amp = Some((options, mean_abs_input))`, pre-test and plan the
+///    AMP mapping; otherwise route the weight rows identically;
+/// 3. program, dividing every target by its pre-tested multiplier when
+///    [`AmpChipOptions::pretest_compensation`] is set;
+/// 4. freeze through `compiler` (its calibration input, its read path,
+///    the 1T-1R access-transistor mapping).
+///
+/// `retune` runs between plan and program with the post-mapping
+/// effective σ and may replace the weights (the §4.3 stacking); it draws
+/// no RNG, so the stream is consumed in the same order either way.
+/// Returns the frozen model and the effective σ (the raw σ without AMP).
+pub(crate) fn compile_chip(
+    compiler: &ModelCompiler,
+    weights: &Matrix,
+    physical_rows: usize,
+    amp: Option<(&AmpChipOptions, &[f64])>,
+    retune: impl FnOnce(f64) -> Result<Option<Matrix>>,
+    rng: &mut Xoshiro256PlusPlus,
+) -> Result<(CompiledModel, f64)> {
+    let env = compiler.env();
+    let mut pair = fabricate_pair(weights.cols(), physical_rows, env, rng)?;
+    let (mapping, effective_sigma, mults, retuned) = match amp {
+        Some((opts, mean_abs_input)) => {
+            let plan = pretest_and_plan(&mut pair, weights, mean_abs_input, opts, env, rng)?;
+            let retuned = retune(plan.effective_sigma)?;
+            let mults = opts
+                .pretest_compensation
+                .then_some((plan.mult_pos, plan.mult_neg));
+            (plan.mapping, plan.effective_sigma, mults, retuned)
+        }
+        None => (
+            RowMapping::identity_into(weights.rows(), physical_rows),
+            env.variation.sigma(),
+            None,
+            None,
+        ),
+    };
+    let physical_weights = mapping.apply_to_rows(retuned.as_ref().unwrap_or(weights), 0.0);
+    let (targets_pos, targets_neg) = pair.mapping().weights_to_targets(&physical_weights);
+    let mults = mults.as_ref().map(|(pos, neg)| (pos, neg));
+    program_targets(&mut pair, targets_pos, targets_neg, mults, env, rng)?;
+    Ok((compiler.freeze(&pair, &mapping)?, effective_sigma))
 }
 
 /// The one open-loop programming step behind every compile route
-/// ([`program_mapped_with`] and the [`ModelCompiler`](crate::pipeline::ModelCompiler)):
+/// ([`program_mapped`], [`compile_chip`] and the [`ModelCompiler`]):
 ///
 /// 1. on a 1T-1R substrate, NEAT-style pre-distortion — program the
 ///    conductance that reads as the desired one through the access
@@ -484,7 +483,7 @@ pub fn amp_evaluate(
     test: &Dataset,
     mc_draws: usize,
     rng: &mut Xoshiro256PlusPlus,
-) -> Result<crate::pipeline::HardwareEvaluation> {
+) -> Result<HardwareEvaluation> {
     amp_evaluate_with(
         weights,
         mean_abs_input,
@@ -514,30 +513,20 @@ pub fn amp_evaluate_with(
     mc_draws: usize,
     rng: &mut Xoshiro256PlusPlus,
     parallelism: Parallelism,
-) -> Result<crate::pipeline::HardwareEvaluation> {
-    if mc_draws == 0 {
-        return Err(CoreError::InvalidParameter {
-            name: "mc_draws",
-            requirement: "must be positive",
-        });
-    }
+) -> Result<HardwareEvaluation> {
     let physical_rows = weights.rows() + opts.redundant_rows;
-    let draws = run_trials(rng, mc_draws, parallelism, |_, draw_rng| {
-        let mut pair = fabricate_pair(weights.cols(), physical_rows, env, draw_rng)?;
-        let plan = pretest_and_plan(&mut pair, weights, mean_abs_input, opts, env, draw_rng)?;
-        let mults = if opts.pretest_compensation {
-            Some((&plan.mult_pos, &plan.mult_neg))
-        } else {
-            None
-        };
-        program_mapped_with(&mut pair, weights, &plan.mapping, mults, env, draw_rng)?;
-        score_pair(&pair, &plan.mapping, env, test)
-    });
-    let per_draw = draws.into_iter().collect::<Result<Vec<f64>>>()?;
-    let mean_test_rate = per_draw.iter().sum::<f64>() / per_draw.len() as f64;
-    Ok(crate::pipeline::HardwareEvaluation {
-        mean_test_rate,
-        per_draw,
+    let compiler = env.compiler().with_calibration(&test.mean_input());
+    evaluate_draws(rng, mc_draws, parallelism, |draw_rng| {
+        let amp = Some((opts, mean_abs_input));
+        let (model, _) = compile_chip(
+            &compiler,
+            weights,
+            physical_rows,
+            amp,
+            |_| Ok(None),
+            draw_rng,
+        )?;
+        score_model(&model, test)
     })
 }
 

@@ -226,19 +226,14 @@ impl LinePreconditioner {
 /// * [`LinalgError::DimensionMismatch`] if shapes disagree.
 /// * [`LinalgError::NotConverged`] if the tolerance is not reached within
 ///   `options.max_iterations`.
-pub fn conjugate_gradient(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    options: &SolveOptions,
-) -> Result<SolveReport> {
+pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], options: &SolveOptions) -> Result<SolveReport> {
     let preconditioner = LinePreconditioner::jacobi(a)?;
-    preconditioned_cg(a, b, x0, &preconditioner, options)
+    preconditioned_cg(a, b, &preconditioner, options)
 }
 
 /// Preconditioned conjugate gradient for symmetric positive definite
-/// systems. Stops once the residual ∞-norm reaches `options.tolerance`;
-/// the iteration allocates nothing.
+/// systems, started from `x = 0`. Stops once the residual ∞-norm reaches
+/// `options.tolerance`; the iteration allocates nothing.
 ///
 /// # Errors
 ///
@@ -248,7 +243,6 @@ pub fn conjugate_gradient(
 pub fn preconditioned_cg(
     a: &CsrMatrix,
     b: &[f64],
-    x0: Option<&[f64]>,
     preconditioner: &LinePreconditioner,
     options: &SolveOptions,
 ) -> Result<SolveReport> {
@@ -274,19 +268,7 @@ pub fn preconditioned_cg(
             actual: preconditioner.dim(),
         });
     }
-    let mut x = match x0 {
-        Some(x0) => {
-            if x0.len() != n {
-                return Err(LinalgError::DimensionMismatch {
-                    context: "conjugate_gradient initial guess",
-                    expected: n,
-                    actual: x0.len(),
-                });
-            }
-            x0.to_vec()
-        }
-        None => vec![0.0; n],
-    };
+    let mut x = vec![0.0; n];
     if n == 0 {
         return Ok(SolveReport {
             x,
@@ -296,8 +278,8 @@ pub fn preconditioned_cg(
     }
 
     let mut ap = vec![0.0; n];
-    a.matvec_into(&x, &mut ap);
-    let mut r = vector::sub(b, &ap);
+    // From x = 0 the initial residual is b itself.
+    let mut r = b.to_vec();
     let mut z = vec![0.0; n];
     preconditioner.apply(&r, &mut z);
     let mut p = z.clone();
@@ -453,7 +435,7 @@ mod tests {
         let a = poisson(n);
         let x_true: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.1).cos()).collect();
         let b = a.matvec(&x_true);
-        let rep = conjugate_gradient(&a, &b, None, &SolveOptions::default()).unwrap();
+        let rep = conjugate_gradient(&a, &b, &SolveOptions::default()).unwrap();
         for (u, v) in rep.x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-7, "{u} vs {v}");
         }
@@ -467,7 +449,7 @@ mod tests {
             let n = a.rows();
             let b: Vec<f64> = (0..n).map(|i| ((i * 37 % 11) as f64 - 5.0) * 0.1).collect();
             let (x, iterations, residual) = reference_jacobi_cg(&a, &b, &options);
-            let rep = conjugate_gradient(&a, &b, None, &options).unwrap();
+            let rep = conjugate_gradient(&a, &b, &options).unwrap();
             assert_eq!(rep.iterations, iterations);
             assert_eq!(rep.residual.to_bits(), residual.to_bits());
             for (u, v) in rep.x.iter().zip(&x) {
@@ -493,8 +475,7 @@ mod tests {
             }],
         )
         .unwrap();
-        let rep =
-            preconditioned_cg(&a, &b, None, &pc, &SolveOptions::with_tolerance(1e-9)).unwrap();
+        let rep = preconditioned_cg(&a, &b, &pc, &SolveOptions::with_tolerance(1e-9)).unwrap();
         assert_eq!(rep.iterations, 1);
         for (u, v) in rep.x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-9, "{u} vs {v}");
@@ -508,9 +489,9 @@ mod tests {
         let a = anisotropic_grid(rows, cols);
         let b: Vec<f64> = (0..rows * cols).map(|k| (k % 5) as f64 * 0.01).collect();
         let options = SolveOptions::with_tolerance(1e-12);
-        let jacobi = conjugate_gradient(&a, &b, None, &options).unwrap();
+        let jacobi = conjugate_gradient(&a, &b, &options).unwrap();
         let pc = LinePreconditioner::new(&a, grid_rows(rows, cols)).unwrap();
-        let line = preconditioned_cg(&a, &b, None, &pc, &options).unwrap();
+        let line = preconditioned_cg(&a, &b, &pc, &options).unwrap();
         assert!(
             line.iterations * 4 < jacobi.iterations,
             "line {} vs jacobi {}",
@@ -542,7 +523,7 @@ mod tests {
         for (k, &v) in b.iter().enumerate() {
             bt[perm(k)] = v;
         }
-        let line_t = preconditioned_cg(&at, &bt, None, &pc_t, &options).unwrap();
+        let line_t = preconditioned_cg(&at, &bt, &pc_t, &options).unwrap();
         assert!(line_t.iterations <= line.iterations + 1);
         for (k, &v) in line.x.iter().enumerate() {
             assert!((line_t.x[perm(k)] - v).abs() < 1e-9);
@@ -569,19 +550,7 @@ mod tests {
         let evens_and_odds = vec![line(0, 2, 3), line(1, 2, 3)];
         assert!(LinePreconditioner::new(&a, evens_and_odds).is_ok());
         let pc = LinePreconditioner::jacobi(&poisson(5)).unwrap();
-        assert!(preconditioned_cg(&a, &[1.0; 6], None, &pc, &SolveOptions::default()).is_err());
-    }
-
-    #[test]
-    fn warm_start_reduces_iterations() {
-        let n = 64;
-        let a = poisson(n);
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin()).collect();
-        let b = a.matvec(&x_true);
-        let cold = conjugate_gradient(&a, &b, None, &SolveOptions::default()).unwrap();
-        let warm = conjugate_gradient(&a, &b, Some(&x_true), &SolveOptions::default()).unwrap();
-        assert!(warm.iterations <= cold.iterations);
-        assert_eq!(warm.iterations, 0);
+        assert!(preconditioned_cg(&a, &[1.0; 6], &pc, &SolveOptions::default()).is_err());
     }
 
     #[test]
@@ -593,7 +562,7 @@ mod tests {
             max_iterations: 2,
             tolerance: 1e-14,
         };
-        match conjugate_gradient(&a, &b, None, &opts) {
+        match conjugate_gradient(&a, &b, &opts) {
             Err(LinalgError::NotConverged { iterations, .. }) => assert_eq!(iterations, 2),
             other => panic!("expected NotConverged, got {other:?}"),
         }
@@ -602,11 +571,8 @@ mod tests {
     #[test]
     fn dimension_mismatch_rejected() {
         let a = poisson(4);
-        assert!(conjugate_gradient(&a, &[1.0; 3], None, &SolveOptions::default()).is_err());
-        assert!(conjugate_gradient(&a, &[1.0; 5], None, &SolveOptions::default()).is_err());
-        assert!(
-            conjugate_gradient(&a, &[1.0; 4], Some(&[0.0; 3]), &SolveOptions::default()).is_err()
-        );
+        assert!(conjugate_gradient(&a, &[1.0; 3], &SolveOptions::default()).is_err());
+        assert!(conjugate_gradient(&a, &[1.0; 5], &SolveOptions::default()).is_err());
         let rect = TripletBuilder::new(3, 4).build();
         assert!(LinePreconditioner::jacobi(&rect).is_err());
     }
@@ -614,10 +580,10 @@ mod tests {
     #[test]
     fn empty_system() {
         let a = TripletBuilder::new(0, 0).build();
-        let rep = conjugate_gradient(&a, &[], None, &SolveOptions::default()).unwrap();
+        let rep = conjugate_gradient(&a, &[], &SolveOptions::default()).unwrap();
         assert!(rep.x.is_empty());
         let pc = LinePreconditioner::new(&a, Vec::new()).unwrap();
-        let rep = preconditioned_cg(&a, &[], None, &pc, &SolveOptions::default()).unwrap();
+        let rep = preconditioned_cg(&a, &[], &pc, &SolveOptions::default()).unwrap();
         assert!(rep.x.is_empty());
     }
 
@@ -640,7 +606,7 @@ mod tests {
         let a = t.build();
         let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.01).collect();
         let b = a.matvec(&x_true);
-        let rep = conjugate_gradient(&a, &b, None, &SolveOptions::with_tolerance(1e-12)).unwrap();
+        let rep = conjugate_gradient(&a, &b, &SolveOptions::with_tolerance(1e-12)).unwrap();
         for (u, v) in rep.x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-6);
         }

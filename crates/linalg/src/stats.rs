@@ -87,47 +87,6 @@ pub fn max(xs: &[f64]) -> f64 {
         .fold(f64::NAN, |m, x| if m.is_nan() || x > m { x } else { m })
 }
 
-/// Five-number style summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub median: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes the summary of a sample.
-    pub fn of(xs: &[f64]) -> Self {
-        Self {
-            n: xs.len(),
-            mean: mean(xs),
-            std_dev: std_dev(xs),
-            min: min(xs),
-            median: median(xs),
-            max: max(xs),
-        }
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} std={:.4} min={:.4} med={:.4} max={:.4}",
-            self.n, self.mean, self.std_dev, self.min, self.median, self.max
-        )
-    }
-}
-
 /// Histogram with uniform bins over `[lo, hi]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -263,14 +222,6 @@ mod tests {
         assert_eq!(min(&xs), -1.0);
         assert_eq!(max(&xs), 5.0);
         assert!(min(&[]).is_nan());
-    }
-
-    #[test]
-    fn summary_display() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.median, 2.0);
-        assert!(s.to_string().contains("n=3"));
     }
 
     #[test]

@@ -107,7 +107,7 @@ proptest! {
             }
         }
         let a = t.build();
-        let cg = conjugate_gradient(&a, &rhs, None, &SolveOptions::with_tolerance(1e-11)).unwrap();
+        let cg = conjugate_gradient(&a, &rhs, &SolveOptions::with_tolerance(1e-11)).unwrap();
         let direct = lu::solve(&a.to_dense(), &rhs).unwrap();
         for (u, v) in cg.x.iter().zip(&direct) {
             prop_assert!((u - v).abs() < 1e-6 * (1.0 + v.abs()));

@@ -1,8 +1,10 @@
 //! Deterministic parallel trial execution.
 //!
-//! Every Monte-Carlo loop in the workspace follows the same shape: a
-//! parent [`Xoshiro256PlusPlus`] splits one child generator per trial, and
-//! each trial consumes only its own child. Because the children depend
+//! Every Monte-Carlo loop in the workspace is [`run_trials`]: the
+//! hardware evaluations, AMP chips, the Vortex pipeline, CLD's on-device
+//! training draws and the tiler's chips all call it. A parent
+//! [`Xoshiro256PlusPlus`] splits one child generator per trial, and each
+//! trial consumes only its own child. Because the children depend
 //! *only* on the parent stream — never on what previous trials did with
 //! their children — the whole set of child generators can be pre-split
 //! **before** fan-out. That is the determinism contract of this module:

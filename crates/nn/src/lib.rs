@@ -15,11 +15,9 @@
 //! * [`gdt`] — hinge-loss (sub)gradient-descent training (the paper's GDT,
 //!   Eq. (3)).
 //! * [`metrics`] — training rate, test rate, confusion matrices.
-//! * [`montecarlo`] — seeded Monte-Carlo averaging used by every
-//!   experiment.
-//! * [`executor`] — the deterministic parallel trial executor behind
-//!   every Monte-Carlo loop (pre-split seed streams, ordered reassembly;
-//!   bit-exact across thread counts).
+//! * [`executor`] — [`run_trials`](executor::run_trials), the one
+//!   Monte-Carlo draw loop in the workspace (pre-split seed streams,
+//!   ordered reassembly; bit-exact across thread counts).
 //! * [`pool`] — the persistent worker pool every fan-out in the
 //!   workspace rides (the executor's scoped fan-outs and the serve
 //!   scheduler's batch pumps share one pool).
@@ -48,7 +46,6 @@ pub mod executor;
 pub mod gdt;
 pub mod isa;
 pub mod metrics;
-pub mod montecarlo;
 pub mod pool;
 pub mod split;
 

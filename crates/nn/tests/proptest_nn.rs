@@ -6,8 +6,7 @@ use vortex_linalg::Matrix;
 use vortex_nn::dataset::glyphs::glyph_strokes;
 use vortex_nn::dataset::raster::{downsample, rasterize};
 use vortex_nn::dataset::{Dataset, DatasetConfig, SynthDigits};
-use vortex_nn::executor::Parallelism;
-use vortex_nn::montecarlo;
+use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::split::stratified_split;
 
 fn tiny_dataset(seed: u64) -> Dataset {
@@ -88,18 +87,26 @@ proptest! {
     }
 
     #[test]
-    fn montecarlo_statistics_invariant_under_thread_count(seed in proptest::num::u64::ANY,
-                                                          trials in 1usize..40,
-                                                          threads in 2usize..9) {
-        // The determinism contract: the same (seed, trials) produce
-        // bit-identical values — hence bit-identical mean and spread — on
-        // any worker-pool size, including odd trial/thread combinations.
-        let f = |rng: &mut Xoshiro256PlusPlus| rng.next_f64();
-        let serial = montecarlo::run(seed, trials, f);
-        let parallel = montecarlo::run_with(seed, trials, Parallelism::Fixed(threads), f);
-        prop_assert_eq!(&serial.values, &parallel.values);
-        prop_assert_eq!(serial.mean().to_bits(), parallel.mean().to_bits());
-        prop_assert_eq!(serial.std_dev().to_bits(), parallel.std_dev().to_bits());
-        prop_assert_eq!(serial.std_error().to_bits(), parallel.std_error().to_bits());
+    fn run_trials_matches_a_serial_split_loop(seed in proptest::num::u64::ANY,
+                                              trials in 1usize..40,
+                                              threads in 2usize..9) {
+        // The reference is the hand-written loop every Monte-Carlo harness
+        // used to carry: one `parent.split()` per draw, run in order. The
+        // executor must give the same per-draw bits on any worker count,
+        // and leave the parent exactly where that loop leaves it.
+        let draw = |k: usize, rng: &mut Xoshiro256PlusPlus| {
+            (k as f64).mul_add(1e-3, rng.next_f64())
+        };
+        let mut serial_parent = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let serial: Vec<u64> = (0..trials)
+            .map(|k| draw(k, &mut serial_parent.split()).to_bits())
+            .collect();
+        let mut fanned_parent = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let fanned: Vec<u64> = run_trials(&mut fanned_parent, trials, Parallelism::Fixed(threads), draw)
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        prop_assert_eq!(serial, fanned);
+        prop_assert_eq!(serial_parent.next_u64(), fanned_parent.next_u64());
     }
 }

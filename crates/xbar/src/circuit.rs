@@ -264,7 +264,7 @@ impl NodalAnalysis {
         options: &SolveOptions,
     ) -> Result<Vec<f64>> {
         let report =
-            preconditioned_cg(a, rhs, None, preconditioner, options).map_err(XbarError::Numeric)?;
+            preconditioned_cg(a, rhs, preconditioner, options).map_err(XbarError::Numeric)?;
         if let Some(sink) = SOLVE_OBSERVER.get() {
             sink(report.iterations);
         }

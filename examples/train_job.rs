@@ -106,19 +106,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Run it while inference traffic flows through the shared pool.
     let trainer = std::thread::spawn(move || job.run());
-    let mut served = 0usize;
     while !trainer.is_finished() {
         for k in 0..split.test.len().min(32) {
             scheduler
                 .submit_wait(split.test.image(k).to_vec())
                 .expect("serving must never observe a training fault");
-            served += 1;
         }
     }
     let report = trainer.join().expect("trainer thread")?;
     println!(
         "trained : {} epochs, final MSE {:.5}, {} kills survived, {} restarts, \
-         {} corrupt checkpoints rejected, {served} predictions served alongside",
+         {} corrupt checkpoints rejected, inference served throughout",
         report.epochs, report.final_mse, report.kills, report.restarts, report.rejected_checkpoints
     );
 
@@ -167,7 +165,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => println!("promote : not swapped ({other:?})"),
     }
 
-    // 6. The obs registry saw the whole story.
+    // 6. The obs registry saw the whole story. How often training yielded
+    //    to serving (`train.preemptions`) and how many predictions were
+    //    served depend on wall-clock interleaving, so they stay in the
+    //    registry and off the printed lines, which are identical run to run.
     let snapshot = vortex_obs::snapshot();
     for name in [
         "train.epochs",
@@ -175,7 +176,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "train.kills",
         "train.restarts",
         "train.checkpoint.rejected",
-        "train.preemptions",
         "train.promotions",
         "pool.job_panics",
     ] {

@@ -15,7 +15,6 @@ use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_nn::dataset::{Dataset, DatasetConfig, SynthDigits};
 use vortex_nn::executor::{run_trials, Parallelism, THREADS_ENV_VAR};
 use vortex_nn::gdt::GdtTrainer;
-use vortex_nn::montecarlo;
 use vortex_nn::split::stratified_split;
 
 /// Thread counts every assertion sweeps, per the contract.
@@ -120,12 +119,22 @@ fn env_var_controls_auto_resolution() {
 }
 
 #[test]
-fn montecarlo_run_with_matches_serial_run() {
-    let f = |r: &mut Xoshiro256PlusPlus| r.next_f64();
-    let serial = montecarlo::run(77, 51, f);
+fn run_trials_matches_serial_split_loop_at_every_thread_count() {
+    // The reference is the loop the CLD trainer and the tiler used to
+    // carry: one `parent.split()` per draw, in order.
+    let f = |_: usize, r: &mut Xoshiro256PlusPlus| r.next_f64();
+    let mut serial_parent = rng(77);
+    let serial: Vec<f64> = (0..51).map(|k| f(k, &mut serial_parent.split())).collect();
+    let after = serial_parent.next_u64();
     for threads in THREAD_COUNTS {
-        let par = montecarlo::run_with(77, 51, Parallelism::Fixed(threads), f);
-        assert_eq!(serial, par, "montecarlo diverged at {threads} threads");
+        let mut parent = rng(77);
+        let par = run_trials(&mut parent, 51, Parallelism::Fixed(threads), f);
+        assert_eq!(serial, par, "run_trials diverged at {threads} threads");
+        assert_eq!(
+            after,
+            parent.next_u64(),
+            "parent stream moved at {threads} threads"
+        );
     }
 }
 
@@ -253,11 +262,11 @@ fn metrics_collection_does_not_perturb_results_across_env_thread_counts() {
     // instrumentation stays live. (As with `env_var_controls_auto_resolution`,
     // mutating the variable is harmless to concurrent tests precisely
     // because results never depend on the pool size.)
-    let f = |r: &mut Xoshiro256PlusPlus| r.next_f64();
+    let f = |_: usize, r: &mut Xoshiro256PlusPlus| r.next_f64();
     let mut runs = Vec::new();
     for threads in ["1", "8"] {
         std::env::set_var(THREADS_ENV_VAR, threads);
-        runs.push(montecarlo::run_with(515, 64, Parallelism::Auto, f).values);
+        runs.push(run_trials(&mut rng(515), 64, Parallelism::Auto, f));
     }
     std::env::remove_var(THREADS_ENV_VAR);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -270,7 +279,7 @@ fn metrics_collection_does_not_perturb_results_across_env_thread_counts() {
     // And the metrics were actively recording during those runs, not
     // compiled out or short-circuited.
     let snap = vortex_obs::snapshot();
-    assert!(snap.counter("montecarlo.trials").unwrap_or(0) >= 128);
+    assert!(snap.counter("executor.trials").unwrap_or(0) >= 128);
     assert!(
         snap.histogram("executor.run_seconds")
             .map_or(0, |h| h.count)
