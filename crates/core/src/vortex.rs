@@ -144,8 +144,9 @@ impl VortexPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates training, pre-test, mapping, programming and readout
-    /// errors.
+    /// Returns [`CoreError::InvalidParameter`] for zero `mc_draws`, before
+    /// any tuning; otherwise propagates training, pre-test, mapping,
+    /// programming and readout errors.
     pub fn run(
         &self,
         train: &Dataset,
@@ -153,8 +154,14 @@ impl VortexPipeline {
         env: &HardwareEnv,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Result<VortexOutcome> {
-        let _span = vortex_obs::span!("pipeline.vortex_seconds");
         let cfg = &self.config;
+        if cfg.mc_draws == 0 {
+            return Err(CoreError::InvalidParameter {
+                name: "mc_draws",
+                requirement: "must be positive",
+            });
+        }
+        let _span = vortex_obs::span!("pipeline.vortex_seconds");
         let sigma = env.variation.sigma();
         let base_vat = cfg.vat.with_sigma(sigma);
 
@@ -207,7 +214,7 @@ impl VortexPipeline {
             per_draw.push(rate);
             sigma_acc += eff_sigma;
         }
-        let test_rate = per_draw.iter().sum::<f64>() / per_draw.len().max(1) as f64;
+        let test_rate = per_draw.iter().sum::<f64>() / per_draw.len() as f64;
         Ok(VortexOutcome {
             rates: Rates {
                 training_rate,
@@ -217,7 +224,7 @@ impl VortexPipeline {
             best_gamma,
             tuning_curve,
             per_draw,
-            effective_sigma_mean: sigma_acc / cfg.mc_draws.max(1) as f64,
+            effective_sigma_mean: sigma_acc / cfg.mc_draws as f64,
         })
     }
 }
@@ -619,6 +626,26 @@ mod tests {
             .unwrap();
         assert_eq!(out.best_gamma, 0.0);
         assert!(out.rates.test_rate > 0.4);
+    }
+
+    #[test]
+    fn zero_draws_are_rejected_before_tuning() {
+        let (train, test) = setup();
+        let env = HardwareEnv::with_sigma(0.5).unwrap();
+        let p = VortexPipeline::new(VortexConfig {
+            mc_draws: 0,
+            ..VortexConfig::fast()
+        });
+        let mut r = rng();
+        let before = r.state();
+        match p.run(&train, &test, &env, &mut r) {
+            Err(CoreError::InvalidParameter { name, requirement }) => {
+                assert_eq!((name, requirement), ("mc_draws", "must be positive"));
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+        // Rejected up front: no chip stream was split off.
+        assert_eq!(r.state(), before);
     }
 
     #[test]

@@ -5,11 +5,17 @@
 //!
 //! ```text
 //! offset 0   magic            8 bytes   b"VXRTMODL"
-//!            version          u32       currently 2
+//!            version          u32       currently 4
 //!            section count    u32
 //!            sections         repeated  tag [u8;4] · payload len u64 · payload
 //! trailer    checksum         u32       CRC-32 (IEEE) of every preceding byte
 //! ```
+//!
+//! This framing lives in two functions only: `seal_into` writes it
+//! around a list of sections and `open` checks it and hands back the
+//! sections. Model artifacts and training checkpoints
+//! ([`crate::checkpoint`]) both go through them, so the two file kinds
+//! can never drift apart.
 //!
 //! Sections, in write order:
 //!
@@ -37,14 +43,15 @@
 //! [`MIN_FORMAT_VERSION`] up — a v1 artifact simply loads as a model
 //! without a canary, and any pre-v3 artifact loads with the all-continuous
 //! differential encoding table (which is exactly how it was programmed).
-//! Decoding verifies the checksum before touching any section, and every
-//! failure mode is a distinct [`ArtifactError`] variant.
+//! Decoding verifies magic, version and checksum before touching any
+//! section, rejects a tag that appears twice, and every failure mode is a
+//! distinct [`ArtifactError`] variant.
 //!
 //! Every on-disk write goes through [`atomic_write`] — temp file, fsync,
 //! atomic rename — so a crash mid-save can never leave a torn file where
 //! a good one used to be.
 
-use std::io::Read as _;
+use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -64,8 +71,6 @@ pub const FORMAT_VERSION: u32 = 4;
 /// The oldest format version this build still reads.
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
-pub(crate) const TAG_TRNC: [u8; 4] = *b"TRNC";
-
 const TAG_META: [u8; 4] = *b"META";
 const TAG_ROUT: [u8; 4] = *b"ROUT";
 const TAG_GPOS: [u8; 4] = *b"GPOS";
@@ -77,6 +82,9 @@ const TAG_ENCT: [u8; 4] = *b"ENCT";
 
 const FLAG_ADC: u8 = 1 << 0;
 const FLAG_DAC: u8 = 1 << 1;
+
+/// One section of an opened container: its tag and its payload.
+pub(crate) type Section<'a> = ([u8; 4], &'a [u8]);
 
 /// Errors of the artifact codec. Every failure mode is distinguishable,
 /// so callers can tell a stale format from a corrupt file.
@@ -203,10 +211,25 @@ pub(crate) fn put_matrix(payload: &mut Vec<u8>, m: &Matrix) {
     }
 }
 
-pub(crate) fn put_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
-    out.extend_from_slice(&tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one sealed container to `out`: magic, [`FORMAT_VERSION`],
+/// the section count, each `(tag, payload)` section as tag · payload
+/// length · payload, and the CRC-32 of everything this call wrote. Every
+/// artifact and checkpoint writer goes through here.
+pub(crate) fn seal_into<P: AsRef<[u8]>>(out: &mut Vec<u8>, sections: &[([u8; 4], P)]) {
+    let start = out.len();
+    let payloads: usize = sections.iter().map(|(_, p)| 12 + p.as_ref().len()).sum();
+    out.reserve(MAGIC.len() + 8 + payloads + 4);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (tag, payload) in sections {
+        let payload = payload.as_ref();
+        out.extend_from_slice(tag);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    let checksum = crc32(&out[start..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Serializes a model into the current artifact byte layout.
@@ -276,14 +299,7 @@ pub(crate) fn encode(model: &CompiledModel) -> Vec<u8> {
     }
 
     let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    for (tag, payload) in &sections {
-        put_section(&mut out, *tag, payload);
-    }
-    let checksum = crc32(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    seal_into(&mut out, &sections);
     out
 }
 
@@ -302,7 +318,7 @@ impl<'a> Cursor<'a> {
         Self { bytes, pos: 0 }
     }
 
-    pub(crate) fn take(
+    fn take(
         &mut self,
         n: usize,
         context: &'static str,
@@ -317,7 +333,7 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self, context: &'static str) -> std::result::Result<u8, ArtifactError> {
+    fn u8(&mut self, context: &'static str) -> std::result::Result<u8, ArtifactError> {
         Ok(self.take(1, context)?[0])
     }
 
@@ -327,7 +343,7 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    pub(crate) fn u32(&mut self, context: &'static str) -> std::result::Result<u32, ArtifactError> {
+    fn u32(&mut self, context: &'static str) -> std::result::Result<u32, ArtifactError> {
         Ok(u32::from_le_bytes(
             self.take(4, context)?.try_into().expect("4 bytes"),
         ))
@@ -339,10 +355,7 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    pub(crate) fn u64_usize(
-        &mut self,
-        context: &'static str,
-    ) -> std::result::Result<usize, ArtifactError> {
+    fn u64_usize(&mut self, context: &'static str) -> std::result::Result<usize, ArtifactError> {
         let v = self.u64(context)?;
         usize::try_from(v).map_err(|_| ArtifactError::Malformed { context })
     }
@@ -353,13 +366,30 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.pos == self.bytes.len()
     }
 
     /// Bytes not yet consumed.
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// The one sizing rule for an announced count: `count` items of
+    /// `width` bytes must fill exactly the bytes left. Decoders check it
+    /// before sizing any allocation from `count`, so an absurd count
+    /// fails typed instead of aborting.
+    fn expect_items(
+        &self,
+        count: usize,
+        width: usize,
+        context: &'static str,
+    ) -> std::result::Result<(), ArtifactError> {
+        if count.checked_mul(width) == Some(self.remaining()) {
+            Ok(())
+        } else {
+            Err(ArtifactError::Malformed { context })
+        }
     }
 }
 
@@ -369,34 +399,14 @@ pub(crate) fn get_matrix(
 ) -> std::result::Result<Matrix, ArtifactError> {
     let rows = c.u64_usize(context)?;
     let cols = c.u64_usize(context)?;
-    // Size the announced contents against the payload *before* any
-    // allocation, as the canary decoder does: the matrix must consume
-    // exactly the remaining bytes.
-    let count = rows
-        .checked_mul(cols)
-        .filter(|n| n.checked_mul(8) == Some(c.remaining()))
-        .ok_or(ArtifactError::Malformed { context })?;
+    // An overflowing rows × cols saturates, and then fails the rule.
+    let count = rows.saturating_mul(cols);
+    c.expect_items(count, 8, context)?;
     let mut data = Vec::with_capacity(count);
     for _ in 0..count {
         data.push(c.f64(context)?);
     }
     Matrix::from_vec(rows, cols, data).map_err(|_| ArtifactError::Malformed { context })
-}
-
-struct Decoded {
-    fidelity: Fidelity,
-    r_wire: f64,
-    scale: f64,
-    adc: Option<Adc>,
-    dac: Option<Dac>,
-    physical_rows: usize,
-    assignment: Vec<usize>,
-    g_pos: Matrix,
-    g_neg: Matrix,
-    att_pos: Option<Matrix>,
-    att_neg: Option<Matrix>,
-    canary: Option<CanarySet>,
-    encoding: Option<EncodingTable>,
 }
 
 struct Meta {
@@ -455,20 +465,9 @@ fn decode_cnry(payload: &[u8]) -> std::result::Result<CanarySet, ArtifactError> 
     let mut c = Cursor::new(payload);
     let count = c.u64_usize("CNRY probe count")?;
     let width = c.u64_usize("CNRY input length")?;
-    // Size the announced contents against the payload *before* any
-    // allocation, so absurd counts fail typed instead of aborting.
-    let announced = count
-        .checked_mul(width)
-        .and_then(|n| n.checked_mul(8))
-        .and_then(|n| n.checked_add(count))
-        .ok_or(ArtifactError::Malformed {
-            context: "CNRY announced size",
-        })?;
-    if announced != payload.len() - 16 {
-        return Err(ArtifactError::Malformed {
-            context: "CNRY announced size",
-        });
-    }
+    // Each probe is `width` f64 inputs and one golden byte.
+    let probe_bytes = width.saturating_mul(8).saturating_add(1);
+    c.expect_items(count, probe_bytes, "CNRY announced size")?;
     let mut inputs = Vec::with_capacity(count);
     for _ in 0..count {
         let mut x = Vec::with_capacity(width);
@@ -495,16 +494,7 @@ fn decode_enct(payload: &[u8]) -> std::result::Result<EncodingTable, ArtifactErr
             context: "ENCT scheme code",
         })?;
     let rows = c.u64_usize("ENCT row count")?;
-    // Size the announced contents against the payload *before* any
-    // allocation, as the canary decoder does.
-    let announced = rows.checked_mul(2).ok_or(ArtifactError::Malformed {
-        context: "ENCT announced size",
-    })?;
-    if announced != payload.len() - 9 {
-        return Err(ArtifactError::Malformed {
-            context: "ENCT announced size",
-        });
-    }
+    c.expect_items(rows, 2, "ENCT announced size")?;
     let mut levels = Vec::with_capacity(rows);
     for _ in 0..rows {
         levels.push(c.u16("ENCT levels")?);
@@ -523,12 +513,7 @@ fn decode_rout(payload: &[u8]) -> std::result::Result<(usize, Vec<usize>), Artif
     let mut c = Cursor::new(payload);
     let physical_rows = c.u64_usize("ROUT physical rows")?;
     let logical_rows = c.u64_usize("ROUT logical rows")?;
-    // Size the announced routing against the payload before allocating.
-    if logical_rows.checked_mul(8) != Some(c.remaining()) {
-        return Err(ArtifactError::Malformed {
-            context: "ROUT announced size",
-        });
-    }
+    c.expect_items(logical_rows, 8, "ROUT announced size")?;
     let mut assignment = Vec::with_capacity(logical_rows);
     for _ in 0..logical_rows {
         assignment.push(c.u64_usize("ROUT assignment")?);
@@ -536,24 +521,26 @@ fn decode_rout(payload: &[u8]) -> std::result::Result<(usize, Vec<usize>), Artif
     Ok((physical_rows, assignment))
 }
 
-/// Parses the artifact byte layout into model parts, verifying magic,
-/// version and checksum first.
-fn decode(bytes: &[u8]) -> std::result::Result<Decoded, ArtifactError> {
+/// Opens a sealed container: verifies magic, the version range
+/// [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`] and the CRC-32 before any
+/// section is trusted, then walks the sections. Returns the version and
+/// the `(tag, payload)` list in file order. A tag that appears twice and
+/// bytes after the last section are [`ArtifactError::Malformed`];
+/// unknown tags are passed through for the caller to skip.
+pub(crate) fn open(bytes: &[u8]) -> std::result::Result<(u32, Vec<Section<'_>>), ArtifactError> {
     if bytes.len() < MAGIC.len() {
         return Err(ArtifactError::Truncated { context: "magic" });
     }
     if bytes[..MAGIC.len()] != MAGIC {
         return Err(ArtifactError::BadMagic);
     }
-    let mut c = Cursor::new(&bytes[MAGIC.len()..]);
-    let version = c.u32("version")?;
+    let version = Cursor::new(&bytes[MAGIC.len()..]).u32("version")?;
     if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(ArtifactError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    // Checksum is verified before any section is trusted.
     if bytes.len() < MAGIC.len() + 8 + 4 {
         return Err(ArtifactError::Truncated {
             context: "checksum",
@@ -568,67 +555,26 @@ fn decode(bytes: &[u8]) -> std::result::Result<Decoded, ArtifactError> {
 
     let mut c = Cursor::new(&bytes[MAGIC.len() + 4..body_len]);
     let section_count = c.u32("section count")?;
-    let mut meta = None;
-    let mut rout = None;
-    let mut g_pos = None;
-    let mut g_neg = None;
-    let mut att_pos = None;
-    let mut att_neg = None;
-    let mut canary = None;
-    let mut encoding = None;
+    // The count is untrusted: the list grows as sections actually parse.
+    let mut sections = Vec::new();
+    let mut seen = HashSet::new();
     for _ in 0..section_count {
         let tag: [u8; 4] = c.take(4, "section tag")?.try_into().expect("4 bytes");
         let len = c.u64_usize("section length")?;
         let payload = c.take(len, "section payload")?;
-        match tag {
-            TAG_META => meta = Some(decode_meta(payload)?),
-            TAG_ROUT => rout = Some(decode_rout(payload)?),
-            TAG_GPOS => g_pos = Some(get_matrix(&mut Cursor::new(payload), "GPOS matrix")?),
-            TAG_GNEG => g_neg = Some(get_matrix(&mut Cursor::new(payload), "GNEG matrix")?),
-            TAG_APOS => att_pos = Some(get_matrix(&mut Cursor::new(payload), "APOS matrix")?),
-            TAG_ANEG => att_neg = Some(get_matrix(&mut Cursor::new(payload), "ANEG matrix")?),
-            TAG_CNRY => canary = Some(decode_cnry(payload)?),
-            TAG_ENCT => encoding = Some(decode_enct(payload)?),
-            // Unknown tags are future minor extensions: skipped.
-            _ => {}
+        if !seen.insert(tag) {
+            return Err(ArtifactError::Malformed {
+                context: "duplicate section",
+            });
         }
+        sections.push((tag, payload));
     }
     if !c.is_empty() {
         return Err(ArtifactError::Malformed {
             context: "bytes after last section",
         });
     }
-    let Meta {
-        fidelity,
-        r_wire,
-        scale,
-        adc,
-        dac,
-    } = meta.ok_or(ArtifactError::Malformed {
-        context: "missing META section",
-    })?;
-    let (physical_rows, assignment) = rout.ok_or(ArtifactError::Malformed {
-        context: "missing ROUT section",
-    })?;
-    Ok(Decoded {
-        fidelity,
-        r_wire,
-        scale,
-        adc,
-        dac,
-        physical_rows,
-        assignment,
-        g_pos: g_pos.ok_or(ArtifactError::Malformed {
-            context: "missing GPOS section",
-        })?,
-        g_neg: g_neg.ok_or(ArtifactError::Malformed {
-            context: "missing GNEG section",
-        })?,
-        att_pos,
-        att_neg,
-        canary,
-        encoding,
-    })
+    Ok((version, sections))
 }
 
 impl CompiledModel {
@@ -649,25 +595,55 @@ impl CompiledModel {
     /// attenuation factor outside `[0, 1]`) yields
     /// [`RuntimeError::InvalidParameter`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let d = decode(bytes).map_err(RuntimeError::Artifact)?;
+        let (_, sections) = open(bytes)?;
+        let mut meta = None;
+        let mut rout = None;
+        let mut g_pos = None;
+        let mut g_neg = None;
+        let mut att_pos = None;
+        let mut att_neg = None;
+        let mut canary = None;
+        let mut encoding = None;
+        for (tag, payload) in sections {
+            match tag {
+                TAG_META => meta = Some(decode_meta(payload)?),
+                TAG_ROUT => rout = Some(decode_rout(payload)?),
+                TAG_GPOS => g_pos = Some(get_matrix(&mut Cursor::new(payload), "GPOS matrix")?),
+                TAG_GNEG => g_neg = Some(get_matrix(&mut Cursor::new(payload), "GNEG matrix")?),
+                TAG_APOS => att_pos = Some(get_matrix(&mut Cursor::new(payload), "APOS matrix")?),
+                TAG_ANEG => att_neg = Some(get_matrix(&mut Cursor::new(payload), "ANEG matrix")?),
+                TAG_CNRY => canary = Some(decode_cnry(payload)?),
+                TAG_ENCT => encoding = Some(decode_enct(payload)?),
+                // Unknown tags are future minor extensions: skipped.
+                _ => {}
+            }
+        }
+        let missing = |context| RuntimeError::Artifact(ArtifactError::Malformed { context });
+        let meta = meta.ok_or(missing("missing META section"))?;
+        let (physical_rows, assignment) = rout.ok_or(missing("missing ROUT section"))?;
+        let g_pos = g_pos.ok_or(missing("missing GPOS section"))?;
+        let g_neg = g_neg.ok_or(missing("missing GNEG section"))?;
         // Pre-v3 artifacts carry no table; they were programmed with the
-        // continuous differential encoding by definition.
-        let encoding = d
-            .encoding
-            .unwrap_or_else(|| EncodingTable::differential(d.physical_rows));
+        // continuous differential encoding by definition. Its size must be
+        // a count the payload bounds: the ROUT row count is not, and GPOS
+        // rows are only when there is at least one column (an empty
+        // matrix passes the sizing rule with any row count). A table that
+        // disagrees with ROUT is rejected typed by `from_parts`.
+        let rows = if g_pos.cols() == 0 { 0 } else { g_pos.rows() };
+        let encoding = encoding.unwrap_or_else(|| EncodingTable::differential(rows));
         Self::from_parts(
-            d.fidelity,
-            d.r_wire,
-            d.scale,
-            d.adc,
-            d.dac,
-            d.physical_rows,
-            d.assignment,
-            d.g_pos,
-            d.g_neg,
-            d.att_pos,
-            d.att_neg,
-            d.canary,
+            meta.fidelity,
+            meta.r_wire,
+            meta.scale,
+            meta.adc,
+            meta.dac,
+            physical_rows,
+            assignment,
+            g_pos,
+            g_neg,
+            att_pos,
+            att_neg,
+            canary,
             encoding,
         )
     }
@@ -690,16 +666,12 @@ impl CompiledModel {
     /// See [`Self::from_bytes`]; file-system failures surface as
     /// [`ArtifactError::Io`].
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path.as_ref())
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| RuntimeError::Artifact(ArtifactError::from(e)))?;
-        Self::from_bytes(&bytes)
+        Self::from_bytes(&std::fs::read(path).map_err(ArtifactError::from)?)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -721,5 +693,77 @@ mod tests {
             computed: 2,
         };
         assert!(e.to_string().contains("checksum"));
+    }
+
+    /// FNV-1a of a byte string, for pinning writer output.
+    pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The writer, byte for byte: a Calibrated model with ADC, DAC, a
+    /// canary and a multi-level encoding table, and an Exact model, both
+    /// built from fixed parts so the pin does not move with the compile
+    /// path. Any change to the framing or a section layout fails here.
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        let (rows, cols) = (6, 3);
+        let g = |phase: f64| {
+            Matrix::from_fn(rows, cols, |i, j| {
+                1e-5 * (1.5 + ((i * cols + j) as f64 * 0.37 + phase).sin())
+            })
+        };
+        let att = |phase: f64| {
+            Matrix::from_fn(rows, cols, |i, j| {
+                0.9 + 0.05 * ((i * cols + j) as f64 * 0.11 + phase).cos()
+            })
+        };
+        let canary = CanarySet::new(
+            vec![vec![0.25; 5], vec![0.5, 0.0, 1.0, 0.75, 0.125]],
+            vec![2, 0],
+        )
+        .unwrap();
+        let calibrated = CompiledModel::from_parts(
+            Fidelity::Calibrated,
+            2.5,
+            1e-5,
+            Some(Adc::new(8, 1e-3).unwrap()),
+            Some(Dac::new(6, 1.0).unwrap()),
+            rows,
+            vec![4, 0, 2, 5, 1],
+            g(0.0),
+            g(1.0),
+            Some(att(0.0)),
+            Some(att(2.0)),
+            Some(canary),
+            EncodingTable::new(EncodingScheme::AdaptiveRow, vec![0, 4, 16, 64, 4, 0]).unwrap(),
+        )
+        .unwrap();
+        let exact = CompiledModel::from_parts(
+            Fidelity::Exact,
+            3.0,
+            2e-5,
+            None,
+            None,
+            rows,
+            (0..rows).collect(),
+            g(0.5),
+            g(1.5),
+            None,
+            None,
+            None,
+            EncodingTable::differential(rows),
+        )
+        .unwrap();
+        let got = [calibrated, exact].map(|m| {
+            let bytes = m.to_bytes();
+            (bytes.len(), fnv1a(&bytes))
+        });
+        assert_eq!(
+            got,
+            [(973, 0xa572_5f5f_0222_de97), (527, 0xf34a_825e_2a52_b8d3)],
+            "artifact bytes moved"
+        );
     }
 }

@@ -6,9 +6,10 @@
 //! from the last good checkpoint replays the remaining epochs
 //! *bit-identically* to a run that was never interrupted.
 //!
-//! Checkpoints reuse the artifact container of [`crate::artifact`]
-//! verbatim (magic, format version, length-prefixed tagged sections,
-//! trailing CRC-32), carrying a single `TRNC` section:
+//! Checkpoints are sealed and opened by the same framing code as model
+//! artifacts (see [`crate::artifact`]: magic, format version,
+//! length-prefixed tagged sections, trailing CRC-32), carrying a single
+//! `TRNC` section:
 //!
 //! ```text
 //! TRNC   epoch u64 · samples seen u64 · job seed u64 ·
@@ -16,25 +17,28 @@
 //!        weights (rows u64 · cols u64 · values f64 × rows·cols)
 //! ```
 //!
-//! The section is new in format version 4; model artifacts never carry it
-//! (and pre-v4 readers would skip the unknown tag by design). Decoding
-//! verifies magic, version range and checksum before trusting any field,
-//! and structurally impossible contents — an all-zero RNG state, a weight
-//! count that disagrees with the payload length — fail with typed
+//! The section is new in format version 4 and model artifacts never carry
+//! it, so a checkpoint container older than v4 cannot be genuine and is
+//! rejected as [`ArtifactError::Malformed`]. Decoding verifies magic,
+//! version range and checksum before trusting any field, and structurally
+//! impossible contents — a second `TRNC` section, an all-zero RNG state, a
+//! weight count that disagrees with the payload length — fail with typed
 //! [`ArtifactError::Malformed`] errors rather than a panic or a silently
 //! wrong resume. Saves go through [`artifact::atomic_write`], so a crash
 //! mid-checkpoint leaves the previous checkpoint intact.
 
-use std::io::Read as _;
 use std::path::Path;
 
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 
-use crate::artifact::{
-    self, atomic_write, crc32, ArtifactError, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION, TAG_TRNC,
-};
+use crate::artifact::{self, atomic_write, ArtifactError};
 use crate::{Result, RuntimeError};
+
+const TAG_TRNC: [u8; 4] = *b"TRNC";
+
+/// The format version that introduced `TRNC`.
+const TRNC_SINCE: u32 = 4;
 
 /// The complete resumable state of a training job at a mini-epoch
 /// boundary.
@@ -86,14 +90,8 @@ impl TrainingCheckpoint {
             payload.extend_from_slice(&s.to_le_bytes());
         }
         artifact::put_matrix(&mut payload, &self.weights);
-
-        let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len() + 16);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&1u32.to_le_bytes());
-        artifact::put_section(&mut out, TAG_TRNC, &payload);
-        let checksum = crc32(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let mut out = Vec::new();
+        artifact::seal_into(&mut out, &[(TAG_TRNC, &payload)]);
         out
     }
 
@@ -105,10 +103,24 @@ impl TrainingCheckpoint {
     /// Returns [`RuntimeError::Artifact`] with a typed [`ArtifactError`]:
     /// `BadMagic` / `UnsupportedVersion` / `ChecksumMismatch` for a file
     /// that is not a healthy artifact, `Truncated` or `Malformed` for a
-    /// structurally broken `TRNC` section (corrupt epoch/length fields,
-    /// an impossible RNG state, a missing section).
+    /// structurally broken container or `TRNC` section (corrupt
+    /// epoch/length fields, an impossible RNG state, a missing or
+    /// duplicated section, a container older than format v4).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        decode(bytes).map_err(RuntimeError::Artifact)
+        let (version, sections) = artifact::open(bytes)?;
+        if version < TRNC_SINCE {
+            return Err(RuntimeError::Artifact(ArtifactError::Malformed {
+                context: "TRNC before format v4",
+            }));
+        }
+        // Unknown tags are future minor extensions: skipped.
+        let (_, payload) = sections
+            .into_iter()
+            .find(|(tag, _)| *tag == TAG_TRNC)
+            .ok_or(ArtifactError::Malformed {
+                context: "missing TRNC section",
+            })?;
+        Ok(decode_trnc(payload)?)
     }
 
     /// Writes the checkpoint to `path` through
@@ -130,63 +142,8 @@ impl TrainingCheckpoint {
     /// See [`Self::from_bytes`]; file-system failures surface as
     /// [`ArtifactError::Io`].
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path.as_ref())
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| RuntimeError::Artifact(ArtifactError::from(e)))?;
-        Self::from_bytes(&bytes)
+        Self::from_bytes(&std::fs::read(path).map_err(ArtifactError::from)?)
     }
-}
-
-fn decode(bytes: &[u8]) -> std::result::Result<TrainingCheckpoint, ArtifactError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(ArtifactError::Truncated { context: "magic" });
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(ArtifactError::BadMagic);
-    }
-    let mut c = artifact::Cursor::new(&bytes[MAGIC.len()..]);
-    let version = c.u32("version")?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(ArtifactError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    if bytes.len() < MAGIC.len() + 8 + 4 {
-        return Err(ArtifactError::Truncated {
-            context: "checksum",
-        });
-    }
-    // The checksum is verified before any section is trusted, exactly as
-    // the model decoder does.
-    let body_len = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[..body_len]);
-    if stored != computed {
-        return Err(ArtifactError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut c = artifact::Cursor::new(&bytes[MAGIC.len() + 4..body_len]);
-    let section_count = c.u32("section count")?;
-    let mut checkpoint = None;
-    for _ in 0..section_count {
-        let tag: [u8; 4] = c.take(4, "section tag")?.try_into().expect("4 bytes");
-        let len = c.u64_usize("section length")?;
-        let payload = c.take(len, "section payload")?;
-        // Unknown tags are future minor extensions: skipped.
-        if tag == TAG_TRNC {
-            checkpoint = Some(decode_trnc(payload)?);
-        }
-    }
-    if !c.is_empty() {
-        return Err(ArtifactError::Malformed {
-            context: "bytes after last section",
-        });
-    }
-    checkpoint.ok_or(ArtifactError::Malformed {
-        context: "missing TRNC section",
-    })
 }
 
 fn decode_trnc(payload: &[u8]) -> std::result::Result<TrainingCheckpoint, ArtifactError> {
@@ -229,6 +186,8 @@ fn decode_trnc(payload: &[u8]) -> std::result::Result<TrainingCheckpoint, Artifa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::tests::fnv1a;
+    use crate::artifact::{crc32, FORMAT_VERSION, MAGIC};
 
     fn sample() -> TrainingCheckpoint {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(41);
@@ -357,5 +316,51 @@ mod tests {
                 context: "missing TRNC section"
             }
         ));
+    }
+
+    #[test]
+    fn pre_v4_container_is_malformed() {
+        // TRNC is new in v4, so a checkpoint stamped v3 cannot be genuine.
+        let mut bytes = sample().to_bytes();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+        reseal(&mut bytes);
+        assert_eq!(
+            checkpoint_err(TrainingCheckpoint::from_bytes(&bytes)),
+            ArtifactError::Malformed {
+                context: "TRNC before format v4"
+            }
+        );
+    }
+
+    #[test]
+    fn second_trnc_section_is_malformed() {
+        // Two TRNC sections could resume from either; neither is trusted.
+        let bytes = sample().to_bytes();
+        let header = MAGIC.len() + 8;
+        let section = &bytes[header..bytes.len() - 4];
+        let mut twice = bytes[..header].to_vec();
+        twice[MAGIC.len() + 4..].copy_from_slice(&2u32.to_le_bytes());
+        twice.extend_from_slice(section);
+        twice.extend_from_slice(section);
+        twice.extend_from_slice(&[0; 4]);
+        reseal(&mut twice);
+        assert_eq!(
+            checkpoint_err(TrainingCheckpoint::from_bytes(&twice)),
+            ArtifactError::Malformed {
+                context: "duplicate section"
+            }
+        );
+    }
+
+    /// The checkpoint writer, byte for byte: any change to the framing or
+    /// the `TRNC` layout fails here.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let bytes = sample().to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (240, 0x0793_af4f_e8b4_4c20),
+            "checkpoint bytes moved"
+        );
     }
 }

@@ -385,6 +385,79 @@ fn out_of_domain_matrix_values_are_typed_errors() {
 }
 
 #[test]
+fn second_gpos_section_is_malformed() {
+    // Splice a second, structurally valid GPOS (the GNEG payload under
+    // the GPOS tag) in after the first: the decoder must not pick either.
+    let mut bytes = compiled(6, 3, 0.0, Fidelity::Ideal, 5).to_bytes();
+    let section = |tag: &[u8; 4], bytes: &[u8]| {
+        let at = bytes.windows(4).position(|w| w == tag).unwrap();
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        at..at + SECTION_HEADER + len
+    };
+    let mut spliced = bytes[section(b"GNEG", &bytes)].to_vec();
+    spliced[..4].copy_from_slice(b"GPOS");
+    let after_gpos = section(b"GPOS", &bytes).end;
+    bytes.splice(after_gpos..after_gpos, spliced);
+    let count_at = MAGIC.len() + 4;
+    let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap());
+    bytes[count_at..count_at + 4].copy_from_slice(&(count + 1).to_le_bytes());
+    reseal_crc(&mut bytes);
+    assert_eq!(
+        artifact_err(CompiledModel::from_bytes(&bytes)),
+        ArtifactError::Malformed {
+            context: "duplicate section"
+        }
+    );
+}
+
+/// Rewrites a v4 model artifact as the v2 writer would have written it:
+/// no `ENCT` section, version 2, resealed.
+fn as_version_two(mut bytes: Vec<u8>) -> Vec<u8> {
+    let tag_at = enct_tag_at(&bytes);
+    let len = u64::from_le_bytes(bytes[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
+    bytes.drain(tag_at..tag_at + SECTION_HEADER + len);
+    bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
+    let count_at = MAGIC.len() + 4;
+    let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap());
+    bytes[count_at..count_at + 4].copy_from_slice(&(count - 1).to_le_bytes());
+    reseal_crc(&mut bytes);
+    bytes
+}
+
+#[test]
+fn huge_physical_row_count_in_a_pre_v3_artifact_is_typed() {
+    // A pre-v3 artifact has no ENCT table, so the decoder builds the
+    // default one. It must not size that table from the untrusted ROUT
+    // physical-row count.
+    let v2 = as_version_two(compiled(6, 3, 0.0, Fidelity::Ideal, 5).to_bytes());
+    let mut bytes = v2.clone();
+    let rout_at = bytes.windows(4).position(|w| w == b"ROUT").unwrap();
+    let at = rout_at + SECTION_HEADER;
+    for announced in [1u64 << 40, u64::MAX / 4] {
+        bytes[at..at + 8].copy_from_slice(&announced.to_le_bytes());
+        reseal_crc(&mut bytes);
+        match CompiledModel::from_bytes(&bytes) {
+            Err(RuntimeError::InvalidParameter { name, .. }) => assert_eq!(name, "encoding"),
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+    // Nor from the row count of an empty GPOS: 2^40 rows × 0 columns
+    // fills a 16-byte payload exactly, whatever the row count.
+    let mut bytes = v2;
+    let gpos_at = bytes.windows(4).position(|w| w == b"GPOS").unwrap();
+    let len = u64::from_le_bytes(bytes[gpos_at + 4..gpos_at + 12].try_into().unwrap()) as usize;
+    let payload_at = gpos_at + SECTION_HEADER;
+    let empty = [(1u64 << 40).to_le_bytes(), 0u64.to_le_bytes()].concat();
+    bytes.splice(payload_at..payload_at + len, empty);
+    bytes[gpos_at + 4..payload_at].copy_from_slice(&16u64.to_le_bytes());
+    reseal_crc(&mut bytes);
+    match CompiledModel::from_bytes(&bytes) {
+        Err(RuntimeError::InvalidParameter { name, .. }) => assert_eq!(name, "encoding"),
+        other => panic!("expected InvalidParameter, got {other:?}"),
+    }
+}
+
+#[test]
 fn wrong_magic_yields_bad_magic() {
     let mut bytes = compiled(6, 3, 0.0, Fidelity::Ideal, 5).to_bytes();
     bytes[0] = b'X';
@@ -433,6 +506,130 @@ proptest! {
             for (u, v) in a.iter().zip(&b) {
                 prop_assert_eq!(u.to_bits(), v.to_bits());
             }
+        }
+    }
+}
+
+/// `(section start, payload start, payload length)` of every section of
+/// a well-formed container, in file order.
+fn section_spans(bytes: &[u8]) -> Vec<(usize, usize, usize)> {
+    let count_at = MAGIC.len() + 4;
+    let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap());
+    let mut at = count_at + 4;
+    (0..count)
+        .map(|_| {
+            let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+            let span = (at, at + SECTION_HEADER, len);
+            at += SECTION_HEADER + len;
+            span
+        })
+        .collect()
+}
+
+/// Applies one edit to a well-formed container's body (everything but
+/// the CRC) and reseals it with a fresh CRC, so the decoders see a
+/// checksum-valid container and only the structural checks can fire.
+fn mutate_and_reseal(valid: &[u8], edit: u8, pick: usize, value: u64) -> Vec<u8> {
+    let spans = section_spans(valid);
+    let (start, payload_at, len) = spans[pick % spans.len()];
+    let end = payload_at + len;
+    let count_at = MAGIC.len() + 4;
+    let mut body = valid[..valid.len() - 4].to_vec();
+    match edit {
+        // Truncate inside a section.
+        0 => body.truncate(payload_at + (value as usize) % len.max(1)),
+        // Duplicate a section in place, and count it.
+        1 => {
+            let copy = body[start..end].to_vec();
+            body.splice(end..end, copy);
+            let count = u32::from_le_bytes(body[count_at..count_at + 4].try_into().unwrap());
+            body[count_at..count_at + 4].copy_from_slice(&(count + 1).to_le_bytes());
+        }
+        // Inflate a section length, by a little or by a lot.
+        2 => {
+            let inflated = if value % 2 == 0 {
+                len as u64 + 1 + value % 64
+            } else {
+                value | 1 << 63
+            };
+            body[start + 4..payload_at].copy_from_slice(&inflated.to_le_bytes());
+        }
+        // Inflate the section count, by a little or to the maximum.
+        3 => {
+            let count = u32::from_le_bytes(body[count_at..count_at + 4].try_into().unwrap());
+            let inflated = if value % 2 == 0 {
+                count + 1 + (value % 8) as u32
+            } else {
+                u32::MAX
+            };
+            body[count_at..count_at + 4].copy_from_slice(&inflated.to_le_bytes());
+        }
+        // Empty a section to a matrix header of `value` rows × 0 columns,
+        // which passes the sizing rule whatever the row count.
+        4 => {
+            let header = [value.to_le_bytes(), 0u64.to_le_bytes()].concat();
+            body.splice(payload_at..end, header);
+            body[start + 4..payload_at].copy_from_slice(&16u64.to_le_bytes());
+        }
+        // Flip the bits of one byte anywhere in the body.
+        _ => {
+            let at = (value as usize) % body.len();
+            body[at] ^= 1 + ((value >> 32) % 255) as u8;
+        }
+    }
+    let crc = crc32(&body).to_le_bytes();
+    body.extend_from_slice(&crc);
+    body
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A resealed single edit to a model artifact (v4, or v2 without an
+    /// encoding table) or a checkpoint either decodes or fails with a
+    /// typed error; it never panics. Truncations and inflated counts
+    /// always fail, duplicates as `duplicate section`.
+    #[test]
+    fn resealed_mutations_decode_or_fail_typed(input in 0u8..3,
+                                                edit in 0u8..6,
+                                                pick in 0usize..16,
+                                                value in proptest::num::u64::ANY) {
+        let model = || {
+            compiled(6, 3, 3.0, Fidelity::Calibrated, 13)
+                .with_canary_inputs(probe_inputs(6))
+                .unwrap()
+                .to_bytes()
+        };
+        let valid = match input {
+            0 => model(),
+            1 => as_version_two(model()),
+            _ => vortex_runtime::TrainingCheckpoint {
+                weights: Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64 * 0.25 - 1.0),
+                epoch: 5,
+                samples_seen: 480,
+                seed: 9,
+                step_scale: 0.01,
+                last_mse: 0.5,
+                rng_state: Xoshiro256PlusPlus::seed_from_u64(9).state(),
+            }
+            .to_bytes(),
+        };
+        let bytes = mutate_and_reseal(&valid, edit, pick, value);
+        let outcome = if input == 2 {
+            vortex_runtime::TrainingCheckpoint::from_bytes(&bytes).map(drop)
+        } else {
+            CompiledModel::from_bytes(&bytes).map(drop)
+        };
+        match edit {
+            0 | 3 => prop_assert!(outcome.is_err(), "edit {} decoded", edit),
+            1 => prop_assert_eq!(
+                outcome,
+                Err(RuntimeError::Artifact(ArtifactError::Malformed {
+                    context: "duplicate section"
+                }))
+            ),
+            // Any `RuntimeError` is typed; only a panic fails the case.
+            _ => {}
         }
     }
 }
