@@ -24,14 +24,16 @@ use vortex_nn::dataset::Dataset;
 use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::pool::WorkerPool;
 use vortex_runtime::{CompiledModel, Fidelity, ReadOptions};
-use vortex_xbar::crossbar::CrossbarConfig;
-use vortex_xbar::encoding::{EncodingContext, EncodingSpec, EncodingTable};
+use vortex_xbar::crossbar::{Crossbar, CrossbarConfig};
+use vortex_xbar::encoding::{EncodedTargets, EncodingSpec, EncodingTable};
+use vortex_xbar::irdrop::ProgramVoltageMap;
 use vortex_xbar::pair::DifferentialPair;
+use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 use vortex_xbar::sensing::Adc;
 
 use crate::amp::greedy::RowMapping;
 use crate::amp::sensitivity::row_sensitivity;
-use crate::vortex::{fabricate_pair, program_targets};
+use crate::vortex::{compensate_targets, fabricate_pair};
 use crate::{CoreError, Result};
 
 /// Read-path circuit fidelity.
@@ -348,8 +350,10 @@ impl ModelCompiler {
     }
 
     /// Sets the logical-space reference input used for IR-drop
-    /// calibration (conventionally the mean test input). Ignored at
-    /// fidelities that do not calibrate.
+    /// calibration (conventionally the mean test input). Every compile
+    /// also routes it into the per-row sensitivity the encoding step
+    /// reads, so its length must match the mapping's logical row count at
+    /// every fidelity.
     pub fn with_calibration(mut self, calibration: &[f64]) -> Self {
         self.calibration = Some(calibration.to_vec());
         self
@@ -392,73 +396,99 @@ impl ModelCompiler {
         mapping: &RowMapping,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Result<DifferentialPair> {
-        self.program_encoded(weights, mapping, EncodingSpec::DifferentialPair, rng)
-            .map(|(pair, _)| pair)
+        let mut pair = fabricate_pair(weights.cols(), mapping.physical_rows(), &self.env, rng)?;
+        let spec = EncodingSpec::DifferentialPair;
+        self.program_into(&mut pair, weights, mapping, spec, None, rng)?;
+        Ok(pair)
     }
 
-    /// Per-physical-row AMP sensitivity `|x̄·w|` from the calibration
-    /// input, routed through `mapping`; `None` when no calibration is
-    /// set (encodings then fall back to the row weight mass).
-    fn physical_sensitivity(
-        &self,
-        physical_weights: &Matrix,
-        mapping: &RowMapping,
-    ) -> Result<Option<Vec<f64>>> {
-        let Some(cal) = self.calibration.as_deref() else {
-            return Ok(None);
-        };
-        if cal.len() != mapping.logical_rows() {
-            return Err(CoreError::InvalidParameter {
-                name: "calibration",
-                requirement: "length must match the logical row count",
-            });
-        }
-        let mut mean_abs = vec![0.0; physical_weights.rows()];
-        for (p, &q) in mapping.assignment().iter().enumerate() {
-            mean_abs[q] = cal[p].abs();
-        }
-        Ok(Some(row_sensitivity(physical_weights, &mean_abs)))
-    }
-
-    /// The programming stage with an explicit weight encoding: fabricate,
-    /// encode the physical weights into per-crossbar targets (quantizing
-    /// as the spec demands), then run the shared open-loop programming
-    /// step, which pre-distorts for [`HardwareEnv::cell`].
+    /// The one open-loop programming step behind every compile route
+    /// ([`CompileRequest`], [`Self::program`] and the phase functions in
+    /// [`crate::vortex`]):
     ///
-    /// The default differential encoding takes the transform-free
-    /// [`WeightMapping::weights_to_targets`](vortex_xbar::pair::WeightMapping::weights_to_targets)
-    /// path — the same float operations as the phase functions, no RNG
-    /// consumed by the encoder.
-    fn program_encoded(
+    /// 1. route `weights` onto the physical rows of `mapping`, and the
+    ///    calibration input (if set) into a per-physical-row AMP
+    ///    sensitivity `|x̄·w|`;
+    /// 2. encode them into per-crossbar targets with
+    ///    [`EncodingSpec::encode`];
+    /// 3. on a 1T-1R substrate, NEAT-style pre-distortion — program the
+    ///    conductance that reads as the desired one through the access
+    ///    transistor;
+    /// 4. optional pre-test compensation, so the device lands on
+    ///    `program_target(g)/e^θ̂`;
+    /// 5. the programming-path IR-drop map (and its pulse-width
+    ///    compensation, when enabled);
+    /// 6. the V/2 protocol on the positive crossbar, then the negative one.
+    ///
+    /// Returns the encoding table the targets were written under.
+    pub(crate) fn program_into(
         &self,
+        pair: &mut DifferentialPair,
         weights: &Matrix,
         mapping: &RowMapping,
         spec: EncodingSpec,
+        pretest_mults: Option<(&Matrix, &Matrix)>,
         rng: &mut Xoshiro256PlusPlus,
-    ) -> Result<(DifferentialPair, EncodingTable)> {
-        let physical_rows = mapping.physical_rows();
-        let mut pair = fabricate_pair(weights.cols(), physical_rows, &self.env, rng)?;
+    ) -> Result<EncodingTable> {
+        let env = &self.env;
         let physical_weights = mapping.apply_to_rows(weights, 0.0);
-        let (targets_pos, targets_neg, table) = if spec.is_differential() {
-            let (pos, neg) = pair.mapping().weights_to_targets(&physical_weights);
-            (pos, neg, EncodingTable::differential(physical_rows))
-        } else {
-            let sensitivity = if matches!(spec, EncodingSpec::AdaptiveRowQuant { .. }) {
-                self.physical_sensitivity(&physical_weights, mapping)?
-            } else {
-                None
-            };
-            let ctx = EncodingContext {
-                row_sensitivity: sensitivity.as_deref(),
-            };
-            let encoder = spec.build().map_err(CoreError::Xbar)?;
-            let encoded = encoder
-                .encode(&physical_weights, pair.mapping(), &ctx)
-                .map_err(CoreError::Xbar)?;
-            (encoded.pos, encoded.neg, encoded.table)
+        let sensitivity = match self.calibration.as_deref() {
+            None => None,
+            Some(cal) if cal.len() != mapping.logical_rows() => {
+                return Err(CoreError::InvalidParameter {
+                    name: "calibration",
+                    requirement: "length must match the logical row count",
+                })
+            }
+            Some(cal) => {
+                let mut mean_abs = vec![0.0; physical_weights.rows()];
+                for (p, &q) in mapping.assignment().iter().enumerate() {
+                    mean_abs[q] = cal[p].abs();
+                }
+                Some(row_sensitivity(&physical_weights, &mean_abs))
+            }
         };
-        program_targets(&mut pair, targets_pos, targets_neg, None, &self.env, rng)?;
-        Ok((pair, table))
+        let EncodedTargets {
+            pos: mut targets_pos,
+            neg: mut targets_neg,
+            table,
+        } = spec
+            .encode(&physical_weights, pair.mapping(), sensitivity.as_deref())
+            .map_err(CoreError::Xbar)?;
+        if !env.cell.is_one_r() {
+            let (g_min, g_max) = (pair.mapping().g_min(), pair.mapping().g_max());
+            let cell = env.cell;
+            targets_pos.map_inplace(|g| cell.program_target(g, g_min, g_max));
+            targets_neg.map_inplace(|g| cell.program_target(g, g_min, g_max));
+        }
+        if let Some((mp, mn)) = pretest_mults {
+            targets_pos = compensate_targets(&targets_pos, mp, &env.device);
+            targets_neg = compensate_targets(&targets_neg, mn, &env.device);
+        }
+        let program =
+            |xbar: &mut Crossbar, targets: &Matrix, rng: &mut Xoshiro256PlusPlus| -> Result<()> {
+                let actual = if env.program_irdrop && env.r_wire > 0.0 {
+                    Some(
+                        ProgramVoltageMap::analytic(targets, env.r_wire, env.device.v_program())
+                            .map_err(CoreError::Xbar)?,
+                    )
+                } else {
+                    None
+                };
+                let options = ProgramOptions {
+                    compensation: if env.compensate_program_irdrop {
+                        actual.clone()
+                    } else {
+                        None
+                    },
+                    half_select_disturb: false,
+                };
+                program_with_protocol(xbar, targets, actual.as_ref(), &options, rng)
+                    .map_err(CoreError::Xbar)
+            };
+        program(pair.pos_mut(), &targets_pos, rng)?;
+        program(pair.neg_mut(), &targets_neg, rng)?;
+        Ok(table)
     }
 
     /// Freezes a programmed pair into an immutable [`CompiledModel`]
@@ -472,11 +502,11 @@ impl ModelCompiler {
         self.freeze_with_table(pair, mapping, EncodingTable::differential(pair.rows()))
     }
 
-    /// [`Self::freeze`] carrying the encoding table the programming stage
+    /// [`Self::freeze`] carrying the encoding table the programming step
     /// produced. On a 1T-1R substrate the frozen conductances are mapped
     /// through the access transistor here, so the compiled read path —
     /// and its calibration — see what the sense amplifiers would.
-    fn freeze_with_table(
+    pub(crate) fn freeze_with_table(
         &self,
         pair: &DifferentialPair,
         mapping: &RowMapping,
@@ -544,7 +574,7 @@ pub struct CompileRequest<'a> {
 }
 
 impl CompileRequest<'_> {
-    /// Sets the weight→conductance encoding strategy (default: the
+    /// Sets the weight→conductance encoding (default: the
     /// paper's continuous differential pair).
     pub fn encoding(mut self, spec: EncodingSpec) -> Self {
         self.encoding = spec;
@@ -583,12 +613,10 @@ impl CompileRequest<'_> {
     /// errors.
     pub fn compile_with(&self, rng: &mut Xoshiro256PlusPlus) -> Result<CompiledModel> {
         let _span = vortex_obs::span!("pipeline.compile_seconds");
-        let (pair, table) =
-            self.compiler
-                .program_encoded(self.weights, self.mapping, self.encoding, rng)?;
-        let model = self
-            .compiler
-            .freeze_with_table(&pair, self.mapping, table)?;
+        let (compiler, weights, mapping) = (self.compiler, self.weights, self.mapping);
+        let mut pair = fabricate_pair(weights.cols(), mapping.physical_rows(), &compiler.env, rng)?;
+        let table = compiler.program_into(&mut pair, weights, mapping, self.encoding, None, rng)?;
+        let model = compiler.freeze_with_table(&pair, mapping, table)?;
         match &self.canary_inputs {
             Some(inputs) => model
                 .with_canary_inputs(inputs.clone())

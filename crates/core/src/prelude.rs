@@ -3,8 +3,7 @@
 //! Re-exports the canonical entry points of the whole workspace — the
 //! substrate description ([`HardwareEnv`], [`CellKind`]), the compile
 //! path ([`ModelCompiler`] via [`HardwareEnv::compiler`], the
-//! [`CompileRequest`] builder, the pluggable
-//! [`EncodingSpec`]/[`WeightEncoding`] strategies), the frozen read
+//! [`CompileRequest`] builder and its [`EncodingSpec`] choice), the frozen read
 //! ([`CompiledModel`], [`Fidelity`], [`EncodingTable`]), the Monte-Carlo
 //! executor knob ([`Parallelism`]) and the unified [`Error`]/[`Result`]
 //! facade — so an application can go from trained weights to a servable
@@ -20,4 +19,4 @@ pub use crate::CoreError;
 pub use vortex_device::cell::CellKind;
 pub use vortex_nn::executor::Parallelism;
 pub use vortex_runtime::{CompiledModel, Fidelity, ReadOptions};
-pub use vortex_xbar::encoding::{EncodingScheme, EncodingSpec, EncodingTable, WeightEncoding};
+pub use vortex_xbar::encoding::{EncodingScheme, EncodingSpec, EncodingTable};

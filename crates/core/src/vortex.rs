@@ -23,11 +23,9 @@ use vortex_nn::dataset::Dataset;
 use vortex_nn::executor::{run_trials, Parallelism};
 use vortex_nn::metrics::{accuracy_of_weights, Rates};
 use vortex_runtime::CompiledModel;
-use vortex_xbar::crossbar::Crossbar;
-use vortex_xbar::irdrop::ProgramVoltageMap;
+use vortex_xbar::encoding::EncodingSpec;
 use vortex_xbar::pair::{DifferentialPair, WeightMapping};
 use vortex_xbar::pretest::{pretest, PretestConfig};
-use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 use vortex_xbar::sensing::Adc;
 
 use crate::amp::greedy::{greedy_map, RowMapping};
@@ -351,7 +349,9 @@ pub fn compensate_targets(
 }
 
 /// Open-loop programs `weights` into `pair` through `mapping`, honoring
-/// the environment's cell topology and programming-path IR-drop settings.
+/// the environment's cell topology and programming-path IR-drop settings
+/// (the differential encoding, through the [`ModelCompiler`]'s one
+/// programming step).
 ///
 /// # Errors
 ///
@@ -363,9 +363,10 @@ pub fn program_mapped(
     env: &HardwareEnv,
     rng: &mut Xoshiro256PlusPlus,
 ) -> Result<()> {
-    let physical_weights = mapping.apply_to_rows(weights, 0.0);
-    let (targets_pos, targets_neg) = pair.mapping().weights_to_targets(&physical_weights);
-    program_targets(pair, targets_pos, targets_neg, None, env, rng)
+    let spec = EncodingSpec::DifferentialPair;
+    env.compiler()
+        .program_into(pair, weights, mapping, spec, None, rng)
+        .map(drop)
 }
 
 /// The one route by which the Monte-Carlo harnesses turn weights into a
@@ -376,7 +377,8 @@ pub fn program_mapped(
 ///    substrate;
 /// 2. with `amp = Some((options, mean_abs_input))`, pre-test and plan the
 ///    AMP mapping; otherwise route the weight rows identically;
-/// 3. program, dividing every target by its pre-tested multiplier when
+/// 3. program through the compiler's one programming step, dividing every
+///    target by its pre-tested multiplier when
 ///    [`AmpChipOptions::pretest_compensation`] is set;
 /// 4. freeze through `compiler` (its calibration input, its read path,
 ///    the 1T-1R access-transistor mapping).
@@ -411,65 +413,12 @@ pub(crate) fn compile_chip(
             None,
         ),
     };
-    let physical_weights = mapping.apply_to_rows(retuned.as_ref().unwrap_or(weights), 0.0);
-    let (targets_pos, targets_neg) = pair.mapping().weights_to_targets(&physical_weights);
+    let weights = retuned.as_ref().unwrap_or(weights);
     let mults = mults.as_ref().map(|(pos, neg)| (pos, neg));
-    program_targets(&mut pair, targets_pos, targets_neg, mults, env, rng)?;
-    Ok((compiler.freeze(&pair, &mapping)?, effective_sigma))
-}
-
-/// The one open-loop programming step behind every compile route
-/// ([`program_mapped`], [`compile_chip`] and the [`ModelCompiler`]):
-///
-/// 1. on a 1T-1R substrate, NEAT-style pre-distortion — program the
-///    conductance that reads as the desired one through the access
-///    transistor;
-/// 2. optional pre-test compensation, so the device lands on
-///    `program_target(g)/e^θ̂`;
-/// 3. the programming-path IR-drop map (and its pulse-width
-///    compensation, when enabled);
-/// 4. the V/2 protocol on the positive crossbar, then the negative one.
-pub(crate) fn program_targets(
-    pair: &mut DifferentialPair,
-    mut targets_pos: Matrix,
-    mut targets_neg: Matrix,
-    pretest_mults: Option<(&Matrix, &Matrix)>,
-    env: &HardwareEnv,
-    rng: &mut Xoshiro256PlusPlus,
-) -> Result<()> {
-    if !env.cell.is_one_r() {
-        let (g_min, g_max) = (pair.mapping().g_min(), pair.mapping().g_max());
-        let cell = env.cell;
-        targets_pos.map_inplace(|g| cell.program_target(g, g_min, g_max));
-        targets_neg.map_inplace(|g| cell.program_target(g, g_min, g_max));
-    }
-    if let Some((mp, mn)) = pretest_mults {
-        targets_pos = compensate_targets(&targets_pos, mp, &env.device);
-        targets_neg = compensate_targets(&targets_neg, mn, &env.device);
-    }
-    let program =
-        |xbar: &mut Crossbar, targets: &Matrix, rng: &mut Xoshiro256PlusPlus| -> Result<()> {
-            let actual = if env.program_irdrop && env.r_wire > 0.0 {
-                Some(
-                    ProgramVoltageMap::analytic(targets, env.r_wire, env.device.v_program())
-                        .map_err(CoreError::Xbar)?,
-                )
-            } else {
-                None
-            };
-            let options = ProgramOptions {
-                compensation: if env.compensate_program_irdrop {
-                    actual.clone()
-                } else {
-                    None
-                },
-                half_select_disturb: false,
-            };
-            program_with_protocol(xbar, targets, actual.as_ref(), &options, rng)
-                .map_err(CoreError::Xbar)
-        };
-    program(pair.pos_mut(), &targets_pos, rng)?;
-    program(pair.neg_mut(), &targets_neg, rng)
+    let spec = EncodingSpec::DifferentialPair;
+    let table = compiler.program_into(&mut pair, weights, &mapping, spec, mults, rng)?;
+    let model = compiler.freeze_with_table(&pair, &mapping, table)?;
+    Ok((model, effective_sigma))
 }
 
 /// Evaluates fixed, already-trained `weights` with per-chip AMP mapping —
@@ -646,6 +595,50 @@ mod tests {
         }
         // Rejected up front: no chip stream was split off.
         assert_eq!(r.state(), before);
+    }
+
+    /// FNV-1a of a byte string, for pinning compiled artifacts.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Golden bytes of the AMP chip route: pre-test, greedy plan over four
+    /// redundant rows, per-cell pre-test compensation, programming-path
+    /// IR drop and a calibrated freeze, all from one fixed seed.
+    #[test]
+    fn amp_chip_bytes_are_pinned() {
+        let (train, test) = setup();
+        let weights = vortex_nn::gdt::GdtTrainer {
+            epochs: 5,
+            ..Default::default()
+        }
+        .train(&train)
+        .unwrap();
+        let env = HardwareEnv::with_sigma(0.5).unwrap().with_ir_drop(4.0);
+        let opts = AmpChipOptions {
+            redundant_rows: 4,
+            pretest_compensation: true,
+            ..Default::default()
+        };
+        let mean_abs_input = sensitivity::mean_abs_inputs(&train);
+        let compiler = env.compiler().with_calibration(&test.mean_input());
+        let (model, effective_sigma) = compile_chip(
+            &compiler,
+            &weights,
+            weights.rows() + opts.redundant_rows,
+            Some((&opts, mean_abs_input.as_slice())),
+            |_| Ok(None),
+            &mut rng(),
+        )
+        .unwrap();
+        let bytes = model.to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes), effective_sigma.to_bits()),
+            (66203, 0x28d0_5576_0880_e370, 0x3fd4_88b3_605c_4130),
+            "AMP chip bytes moved"
+        );
     }
 
     #[test]

@@ -190,3 +190,84 @@ fn missing_seed_is_a_typed_error() {
         CoreError::InvalidParameter { name: "seed", .. }
     ));
 }
+
+/// FNV-1a of a byte string, for pinning compiled artifacts.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden bytes of the encoding step: every spec compiled from a fixed
+/// seed on a calibrated 1R + IR-drop substrate, through a reversed
+/// mapping with two redundant rows so the sensitivity routing is pinned
+/// too. A change to the targets any encoding produces, to the programming
+/// step or to the artifact layout fails here.
+#[test]
+fn encoded_compiles_are_pinned() {
+    let (data, w) = small_setup();
+    let n = w.rows();
+    let mapping = RowMapping::from_assignment((1..=n).rev().collect(), n + 2).unwrap();
+    let env = HardwareEnv::with_sigma(0.3).unwrap().with_ir_drop(4.0);
+    let compiler = env.compiler().with_calibration(&data.mean_input());
+    let got = [
+        EncodingSpec::DifferentialPair,
+        EncodingSpec::MultiLevelCell { bits: 4 },
+        EncodingSpec::AdaptiveRowQuant {
+            low_bits: 2,
+            high_bits: 6,
+            fine_fraction: 0.5,
+        },
+    ]
+    .map(|spec| {
+        let model = compiler
+            .request(&w, &mapping)
+            .encoding(spec)
+            .seed(17)
+            .compile()
+            .unwrap();
+        let bytes = model.to_bytes();
+        (bytes.len(), fnv1a(&bytes))
+    });
+    assert_eq!(
+        got,
+        [
+            (65559, 0x9fc5_5494_f0f6_86eb),
+            (65559, 0xca60_7cc4_3d8d_dc0f),
+            (65559, 0x93b8_b941_4a38_a696),
+        ],
+        "compiled bytes moved"
+    );
+}
+
+/// One calibration-length rule: a calibration input whose length
+/// disagrees with the mapping's logical row count is rejected for every
+/// encoding, even on an Ideal substrate that never reads it.
+#[test]
+fn mismatched_calibration_is_rejected_for_every_encoding() {
+    let (data, w) = small_setup();
+    let mapping = RowMapping::identity(w.rows());
+    let short = &data.mean_input()[..w.rows() - 1];
+    let compiler = HardwareEnv::ideal().compiler().with_calibration(short);
+    for spec in [
+        EncodingSpec::DifferentialPair,
+        EncodingSpec::MultiLevelCell { bits: 4 },
+    ] {
+        let err = compiler
+            .request(&w, &mapping)
+            .encoding(spec)
+            .seed(5)
+            .compile()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::InvalidParameter {
+                    name: "calibration",
+                    ..
+                }
+            ),
+            "{spec:?}: {err:?}"
+        );
+    }
+}

@@ -44,7 +44,7 @@ pub mod prelude {
         TrainingCheckpoint,
     };
     pub use vortex_nn::executor::Parallelism;
-    pub use vortex_xbar::encoding::{EncodingScheme, EncodingSpec, EncodingTable, WeightEncoding};
+    pub use vortex_xbar::encoding::{EncodingScheme, EncodingSpec, EncodingTable};
 }
 
 /// Errors produced by the inference runtime.

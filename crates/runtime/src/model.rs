@@ -577,40 +577,15 @@ impl CompiledModel {
         }
     }
 
-    /// A drift-aged copy: each device's conductance is multiplied by its
-    /// entry of the per-crossbar decay matrices (values in `(0, 1]`).
-    ///
-    /// The canary set and, for calibrated models, the compile-time
-    /// attenuation maps are carried over unchanged — aging degrades the
-    /// read while the model keeps *believing* its fresh calibration,
-    /// exactly the mismatch a health monitor exists to catch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidParameter`] for decay matrices of
-    /// the wrong shape or with entries outside `(0, 1]`.
-    pub fn aged(&self, decay_pos: &Matrix, decay_neg: &Matrix) -> Result<Self> {
-        for (name, d) in [("decay_pos", decay_pos), ("decay_neg", decay_neg)] {
-            if d.shape() == self.g_pos.shape()
-                && d.as_slice().iter().any(|&v| !(v > 0.0 && v <= 1.0))
-            {
-                return Err(RuntimeError::InvalidParameter {
-                    name,
-                    requirement: "decay factors must lie in (0, 1]",
-                });
-            }
-        }
-        self.with_conductance_factors(decay_pos, decay_neg)
-    }
-
     /// A copy whose conductances are multiplied elementwise by arbitrary
-    /// positive factor matrices — the general form of [`Self::aged`].
-    /// Retention decay shrinks a device (factor ≤ 1); a temperature
-    /// excursion can *raise* its conductance (factor > 1), which is why
-    /// lifetime simulation needs this wider-domain sibling. Calibration
-    /// maps and the canary set carry over unchanged, as in
-    /// [`Self::aged`]. An Exact model rebuilds its transfer matrices from
-    /// the new conductances (`cols` mesh solves per crossbar).
+    /// positive factor matrices. Retention decay shrinks a device
+    /// (factor ≤ 1, see [`Self::age_with`]); a temperature excursion can
+    /// *raise* its conductance (factor > 1). The canary set and, for
+    /// calibrated models, the compile-time attenuation maps carry over
+    /// unchanged — the read degrades while the model keeps *believing*
+    /// its fresh calibration, exactly the mismatch a health monitor exists
+    /// to catch. An Exact model rebuilds its transfer matrices from the
+    /// new conductances (`cols` mesh solves per crossbar).
     ///
     /// # Errors
     ///
@@ -648,34 +623,27 @@ impl CompiledModel {
         )
     }
 
-    /// [`Self::aged`] under the workspace's one drift implementation:
-    /// [`Self::age_with_process`] with `DriftProcess::new(*retention,
-    /// seed)` — one ν per device (seeded, so bit-reproducible — positive
-    /// crossbar sampled first, row-major), evaluated after `t_s` seconds.
+    /// A drift-aged copy under the workspace's one drift implementation:
+    /// the decay matrices of `DriftProcess::new(*retention, seed)` — one
+    /// ν per device (seeded, so bit-reproducible — positive crossbar
+    /// sampled first, row-major), evaluated after `t_s` seconds — applied
+    /// through [`Self::with_conductance_factors`]. Decay factors lie in
+    /// `(0, 1]` by construction.
     ///
     /// # Errors
     ///
-    /// See [`Self::aged`].
+    /// See [`Self::with_conductance_factors`].
     pub fn age_with(&self, retention: &RetentionModel, t_s: f64, seed: u64) -> Result<Self> {
-        self.age_with_process(&DriftProcess::new(*retention, seed), t_s)
-    }
-
-    /// [`Self::aged`] with decay matrices drawn from a
-    /// [`DriftProcess`] — the single drift definition shared by the
-    /// chaos plan and the lifetime timeline. Pure in `(process, t_s)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::aged`].
-    pub fn age_with_process(&self, process: &DriftProcess, t_s: f64) -> Result<Self> {
         let (rows, cols) = self.g_pos.shape();
-        let (decay_pos, decay_neg) = process.decay_matrices(rows, cols, t_s);
-        self.aged(&decay_pos, &decay_neg)
+        let (decay_pos, decay_neg) =
+            DriftProcess::new(*retention, seed).decay_matrices(rows, cols, t_s);
+        self.with_conductance_factors(&decay_pos, &decay_neg)
     }
 
     /// A copy with stuck-at device faults applied: each fault pins one
     /// device of one crossbar to a fixed conductance. Calibration maps
-    /// and the canary set carry over, as in [`Self::aged`]; an Exact
+    /// and the canary set carry over, as in
+    /// [`Self::with_conductance_factors`]; an Exact
     /// model rebuilds its transfer matrices.
     ///
     /// # Errors
@@ -744,7 +712,7 @@ impl CompiledModel {
     /// the f64 reference kernel. Predictions are identical by the
     /// certification contract — this switch exists so tests and benches
     /// can measure and assert exactly that. The setting applies to this
-    /// instance only; derived copies ([`Self::aged`],
+    /// instance only; derived copies ([`Self::with_conductance_factors`],
     /// [`Self::with_cell_faults`], artifact round-trips) rebuild their
     /// read state and re-enable the fast path where eligible.
     pub fn with_reference_kernel(mut self) -> Self {
@@ -1193,13 +1161,19 @@ mod tests {
             None,
         )
         .unwrap();
+        // The decay matrices `age_with` applies lie in (0, 1].
+        let retention = RetentionModel::new(0.6, 0.3, 1e-3).unwrap();
+        let (d_pos, d_neg) = DriftProcess::new(retention, 99).decay_matrices(4, 2, 1e6);
+        for &v in d_pos.as_slice().iter().chain(d_neg.as_slice()) {
+            assert!(v > 0.0 && v <= 1.0, "decay factor {v} outside (0, 1]");
+        }
+        // Decay matrices of the wrong shape are rejected on either crossbar.
         let ones = Matrix::from_fn(4, 2, |_, _| 1.0);
         let wrong_shape = Matrix::from_fn(3, 2, |_, _| 1.0);
-        assert!(model.aged(&wrong_shape, &ones).is_err());
-        let out_of_range = Matrix::from_fn(4, 2, |_, _| 1.5);
-        assert!(model.aged(&ones, &out_of_range).is_err());
+        assert!(model.with_conductance_factors(&wrong_shape, &ones).is_err());
+        assert!(model.with_conductance_factors(&ones, &wrong_shape).is_err());
         // Identity decay reproduces the model bit-for-bit.
-        let same = model.aged(&ones, &ones).unwrap();
+        let same = model.with_conductance_factors(&ones, &ones).unwrap();
         let x = [0.3, 0.9, 0.1, 0.7];
         for (a, b) in model
             .scores(&x)
@@ -1221,11 +1195,10 @@ mod tests {
             None,
         )
         .unwrap();
-        // Factors above 1 are rejected by `aged` but fine here — a hot
-        // chip conducts more, it does not "un-decay".
+        // Factors above 1 are fine — a hot chip conducts more, it does
+        // not "un-decay".
         let hot = Matrix::from_fn(4, 2, |_, _| 1.02);
         let ones = Matrix::from_fn(4, 2, |_, _| 1.0);
-        assert!(model.aged(&hot, &ones).is_err());
         let warmed = model.with_conductance_factors(&hot, &ones).unwrap();
         let x = [0.3, 0.9, 0.1, 0.7];
         let (base, warm) = (model.scores(&x).unwrap(), warmed.scores(&x).unwrap());
@@ -1251,9 +1224,8 @@ mod tests {
         .unwrap();
         let retention = RetentionModel::new(0.6, 0.3, 1e-3).unwrap();
         let a = model.age_with(&retention, 1e6, 99).unwrap();
-        let b = model
-            .age_with_process(&DriftProcess::new(retention, 99), 1e6)
-            .unwrap();
+        let (d_pos, d_neg) = DriftProcess::new(retention, 99).decay_matrices(4, 2, 1e6);
+        let b = model.with_conductance_factors(&d_pos, &d_neg).unwrap();
         for (x, y) in a.g_pos.as_slice().iter().zip(b.g_pos.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

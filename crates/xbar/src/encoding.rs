@@ -1,28 +1,29 @@
-//! Pluggable weight→conductance encodings (§2.2.1 generalized).
+//! Weight→conductance encodings (§2.2.1 generalized).
 //!
 //! The paper programs every weight onto a differential pair through one
-//! global affine transfer — an *analog* encoding with a single scale. This
-//! module makes the encoding a compile-time strategy choice:
+//! global affine transfer — an *analog* encoding with a single scale.
+//! [`EncodingSpec`] makes the encoding a compile-time choice, and
+//! [`EncodingSpec::encode`] is the one step that turns routed weights into
+//! programming targets:
 //!
-//! * [`DifferentialPair`] — the paper's behaviour, bit-for-bit: targets
-//!   come straight from [`WeightMapping::weights_to_targets`].
-//! * [`MultiLevelCell`] — quantizes every conductance target to one of
-//!   `2^bits` uniform levels (endpoints included, so the `g_min` baseline
-//!   of a zero weight stays exactly representable), modelling an MLC
-//!   program-verify write at a configurable resolution.
-//! * [`AdaptiveRowQuant`] — per-row level selection driven by the AMP
-//!   sensitivity metric `|x·w|`: only the most output-critical rows get
-//!   fine quantization, the rest are written coarsely at a lower
+//! * [`EncodingSpec::DifferentialPair`] — the paper's behaviour,
+//!   bit-for-bit: targets come straight from
+//!   [`WeightMapping::weights_to_targets`].
+//! * [`EncodingSpec::MultiLevelCell`] — quantizes every conductance
+//!   target to one of `2^bits` uniform levels (endpoints included, so the
+//!   `g_min` baseline of a zero weight stays exactly representable),
+//!   modelling an MLC program-verify write at a configurable resolution.
+//! * [`EncodingSpec::AdaptiveRowQuant`] — per-row level selection driven
+//!   by the AMP sensitivity metric `|x·w|`: only the most output-critical
+//!   rows get fine quantization, the rest are written coarsely at a lower
 //!   pulse cost.
 //!
 //! Every encoding returns an [`EncodingTable`] — the per-physical-row
 //! level counts actually used — which travels with the compiled model into
 //! the on-disk artifact (format v3) and prices the programming effort via
-//! [`pulse_plan`].
+//! [`EncodingTable::programming_pulses`].
 
 use serde::{Deserialize, Serialize};
-use vortex_device::pulse::precalculate_pulse_conductance;
-use vortex_device::DeviceParams;
 use vortex_linalg::Matrix;
 
 use crate::pair::WeightMapping;
@@ -47,8 +48,8 @@ pub fn quantize_to_levels(g: f64, g_min: f64, g_max: f64, levels: u16) -> f64 {
     g_min + k * step
 }
 
-/// Identifies which [`WeightEncoding`] strategy produced a table; stored
-/// as a single byte in the artifact's `ENCT` section.
+/// Identifies which [`EncodingSpec`] variant produced a table; stored as
+/// a single byte in the artifact's `ENCT` section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EncodingScheme {
     /// Continuous differential-pair targets (the paper's encoding).
@@ -114,7 +115,7 @@ impl EncodingTable {
         }
     }
 
-    /// Which strategy family produced this table.
+    /// Which encoding produced this table.
     pub fn scheme(&self) -> EncodingScheme {
         self.scheme
     }
@@ -187,241 +188,9 @@ pub struct EncodedTargets {
     pub table: EncodingTable,
 }
 
-/// Side information an encoding may consult.
-///
-/// `row_sensitivity[q]` is the AMP sensitivity metric `|x̄·w|` for
-/// physical row `q` (mean absolute input times the row's L1 weight mass);
-/// when absent, sensitivity-driven encodings fall back to the weight mass
-/// alone.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EncodingContext<'a> {
-    /// Per-physical-row sensitivity, if the compiler has calibration data.
-    pub row_sensitivity: Option<&'a [f64]>,
-}
-
-/// Strategy turning a physical weight matrix into programming targets.
-///
-/// Implementations must be deterministic (no RNG) — the Monte-Carlo
-/// determinism harness relies on encodings adding no stream consumption.
-///
-/// # Example
-///
-/// ```
-/// use vortex_device::DeviceParams;
-/// use vortex_linalg::Matrix;
-/// use vortex_xbar::encoding::{EncodingContext, EncodingSpec, WeightEncoding};
-/// use vortex_xbar::pair::WeightMapping;
-///
-/// # fn main() -> Result<(), vortex_xbar::XbarError> {
-/// let mapping = WeightMapping::new(&DeviceParams::default(), 1.0)?;
-/// let weights = Matrix::from_rows(&[vec![0.8, -0.2], vec![0.1, -0.9]]);
-/// let encoder = EncodingSpec::MultiLevelCell { bits: 4 }.build()?;
-/// let encoded = encoder.encode(&weights, &mapping, &EncodingContext::default())?;
-/// assert_eq!(encoded.table.rows(), 2);
-/// assert_eq!(encoded.table.levels(), &[16, 16]);
-/// # Ok(())
-/// # }
-/// ```
-pub trait WeightEncoding {
-    /// Stable human-readable strategy name (used in bench tables).
-    fn name(&self) -> &'static str;
-
-    /// Encodes a physical weight matrix (already routed to crossbar rows)
-    /// into per-crossbar conductance targets.
-    fn encode(
-        &self,
-        weights: &Matrix,
-        mapping: &WeightMapping,
-        ctx: &EncodingContext<'_>,
-    ) -> Result<EncodedTargets>;
-}
-
-/// The paper's continuous differential-pair encoding — targets are
-/// exactly [`WeightMapping::weights_to_targets`], no quantization.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DifferentialPair;
-
-impl WeightEncoding for DifferentialPair {
-    fn name(&self) -> &'static str {
-        "differential"
-    }
-
-    fn encode(
-        &self,
-        weights: &Matrix,
-        mapping: &WeightMapping,
-        _ctx: &EncodingContext<'_>,
-    ) -> Result<EncodedTargets> {
-        let (pos, neg) = mapping.weights_to_targets(weights);
-        Ok(EncodedTargets {
-            pos,
-            neg,
-            table: EncodingTable::differential(weights.rows()),
-        })
-    }
-}
-
-/// Fixed-resolution multi-level-cell encoding: every device target snaps
-/// to one of `2^bits` uniform conductance levels.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiLevelCell {
-    bits: u8,
-}
-
-impl MultiLevelCell {
-    /// `bits` per cell in `1..=12` (4096 levels is already beyond any
-    /// demonstrated MLC device).
-    pub fn new(bits: u8) -> Result<Self> {
-        if !(1..=12).contains(&bits) {
-            return Err(XbarError::InvalidParameter {
-                name: "bits",
-                requirement: "must be in 1..=12",
-            });
-        }
-        Ok(Self { bits })
-    }
-
-    /// Level count `2^bits`.
-    pub fn levels(&self) -> u16 {
-        1 << self.bits
-    }
-}
-
-impl WeightEncoding for MultiLevelCell {
-    fn name(&self) -> &'static str {
-        "mlc"
-    }
-
-    fn encode(
-        &self,
-        weights: &Matrix,
-        mapping: &WeightMapping,
-        _ctx: &EncodingContext<'_>,
-    ) -> Result<EncodedTargets> {
-        let (mut pos, mut neg) = mapping.weights_to_targets(weights);
-        let (g_min, g_max) = (mapping.g_min(), mapping.g_max());
-        let levels = self.levels();
-        pos.map_inplace(|g| quantize_to_levels(g, g_min, g_max, levels));
-        neg.map_inplace(|g| quantize_to_levels(g, g_min, g_max, levels));
-        Ok(EncodedTargets {
-            pos,
-            neg,
-            table: EncodingTable::new(EncodingScheme::MultiLevel, vec![levels; weights.rows()])?,
-        })
-    }
-}
-
-/// Sensitivity-driven per-row quantization: the `fine_fraction` most
-/// sensitive rows (by the AMP metric `|x̄·w|`) are written at `high_bits`,
-/// the rest at `low_bits`. Ties break on the lower row index so the
-/// selection is deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveRowQuant {
-    low_bits: u8,
-    high_bits: u8,
-    fine_fraction: f64,
-}
-
-impl AdaptiveRowQuant {
-    /// `low_bits <= high_bits`, both in `1..=12`; `fine_fraction` in
-    /// `[0, 1]` is the share of rows (rounded to nearest) written fine.
-    pub fn new(low_bits: u8, high_bits: u8, fine_fraction: f64) -> Result<Self> {
-        if !(1..=12).contains(&low_bits) || !(1..=12).contains(&high_bits) {
-            return Err(XbarError::InvalidParameter {
-                name: "bits",
-                requirement: "must be in 1..=12",
-            });
-        }
-        if low_bits > high_bits {
-            return Err(XbarError::InvalidParameter {
-                name: "low_bits",
-                requirement: "must not exceed high_bits",
-            });
-        }
-        if !(0.0..=1.0).contains(&fine_fraction) {
-            return Err(XbarError::InvalidParameter {
-                name: "fine_fraction",
-                requirement: "must be in [0, 1]",
-            });
-        }
-        Ok(Self {
-            low_bits,
-            high_bits,
-            fine_fraction,
-        })
-    }
-
-    /// Indices of the rows that get `high_bits`, by descending
-    /// sensitivity with index tie-break.
-    fn fine_rows(&self, sensitivity: &[f64]) -> Vec<usize> {
-        let n_fine = (self.fine_fraction * sensitivity.len() as f64).round() as usize;
-        let n_fine = n_fine.min(sensitivity.len());
-        let mut order: Vec<usize> = (0..sensitivity.len()).collect();
-        order.sort_by(|&a, &b| {
-            sensitivity[b]
-                .partial_cmp(&sensitivity[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        order.truncate(n_fine);
-        order
-    }
-}
-
-impl WeightEncoding for AdaptiveRowQuant {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn encode(
-        &self,
-        weights: &Matrix,
-        mapping: &WeightMapping,
-        ctx: &EncodingContext<'_>,
-    ) -> Result<EncodedTargets> {
-        let rows = weights.rows();
-        // AMP sensitivity if the compiler supplied calibration; otherwise
-        // the row L1 mass (the x̄ = 1 special case of the same metric).
-        let sensitivity: Vec<f64> = match ctx.row_sensitivity {
-            Some(s) => {
-                if s.len() != rows {
-                    return Err(XbarError::ShapeMismatch {
-                        context: "adaptive row sensitivity",
-                        expected: rows,
-                        actual: s.len(),
-                    });
-                }
-                s.to_vec()
-            }
-            None => (0..rows)
-                .map(|q| weights.row(q).iter().map(|w| w.abs()).sum())
-                .collect(),
-        };
-        let mut levels = vec![1u16 << self.low_bits; rows];
-        for q in self.fine_rows(&sensitivity) {
-            levels[q] = 1 << self.high_bits;
-        }
-        let (mut pos, mut neg) = mapping.weights_to_targets(weights);
-        let (g_min, g_max) = (mapping.g_min(), mapping.g_max());
-        for (q, &l) in levels.iter().enumerate() {
-            for g in pos.row_mut(q) {
-                *g = quantize_to_levels(*g, g_min, g_max, l);
-            }
-            for g in neg.row_mut(q) {
-                *g = quantize_to_levels(*g, g_min, g_max, l);
-            }
-        }
-        Ok(EncodedTargets {
-            pos,
-            neg,
-            table: EncodingTable::new(EncodingScheme::AdaptiveRow, levels)?,
-        })
-    }
-}
-
 /// Plain-data description of an encoding choice — what travels in compile
-/// options, environments, and bench configs. [`EncodingSpec::build`]
-/// instantiates the matching [`WeightEncoding`] strategy.
+/// options, environments, and bench configs. [`EncodingSpec::encode`]
+/// turns routed weights into programming targets under it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum EncodingSpec {
     /// The paper's continuous differential-pair encoding (default).
@@ -444,96 +213,151 @@ pub enum EncodingSpec {
 }
 
 impl EncodingSpec {
-    /// Instantiates the strategy this spec describes.
+    /// Encodes a physical weight matrix (already routed to crossbar rows)
+    /// into per-crossbar conductance targets plus the per-row table of
+    /// levels used. Deterministic — no RNG — so the Monte-Carlo
+    /// determinism harness sees no extra stream consumption.
+    ///
+    /// `row_sensitivity[q]` is the AMP sensitivity `|x̄·w|` of physical
+    /// row `q` (mean absolute input times the row's L1 weight mass). Only
+    /// [`Self::AdaptiveRowQuant`] reads it; without it, that encoding
+    /// ranks rows by weight mass alone (the `x̄ = 1` case of the metric).
+    /// Ties break on the lower row index.
     ///
     /// # Errors
     ///
-    /// [`XbarError::InvalidParameter`] if the spec's parameters are out of
-    /// range (see the strategy constructors).
-    pub fn build(&self) -> Result<Box<dyn WeightEncoding + Send + Sync>> {
-        Ok(match *self {
-            EncodingSpec::DifferentialPair => Box::new(DifferentialPair),
-            EncodingSpec::MultiLevelCell { bits } => Box::new(MultiLevelCell::new(bits)?),
+    /// [`XbarError::InvalidParameter`] for `bits` outside `1..=12`,
+    /// `low_bits > high_bits` or `fine_fraction` outside `[0, 1]`;
+    /// [`XbarError::ShapeMismatch`] when the adaptive encoding is given a
+    /// sensitivity whose length is not the row count.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use vortex_device::DeviceParams;
+    /// use vortex_linalg::Matrix;
+    /// use vortex_xbar::encoding::EncodingSpec;
+    /// use vortex_xbar::pair::WeightMapping;
+    ///
+    /// # fn main() -> Result<(), vortex_xbar::XbarError> {
+    /// let mapping = WeightMapping::new(&DeviceParams::default(), 1.0)?;
+    /// let weights = Matrix::from_rows(&[vec![0.8, -0.2], vec![0.1, -0.9]]);
+    /// let encoded = EncodingSpec::MultiLevelCell { bits: 4 }.encode(&weights, &mapping, None)?;
+    /// assert_eq!(encoded.table.rows(), 2);
+    /// assert_eq!(encoded.table.levels(), &[16, 16]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn encode(
+        &self,
+        weights: &Matrix,
+        mapping: &WeightMapping,
+        row_sensitivity: Option<&[f64]>,
+    ) -> Result<EncodedTargets> {
+        let rows = weights.rows();
+        let quantized = match *self {
+            EncodingSpec::DifferentialPair => None,
+            EncodingSpec::MultiLevelCell { bits } => {
+                check_bits(bits)?;
+                Some((EncodingScheme::MultiLevel, vec![1u16 << bits; rows]))
+            }
             EncodingSpec::AdaptiveRowQuant {
                 low_bits,
                 high_bits,
                 fine_fraction,
-            } => Box::new(AdaptiveRowQuant::new(low_bits, high_bits, fine_fraction)?),
-        })
-    }
-
-    /// True for the paper's continuous encoding — the compile fast path
-    /// that must stay bit-exact with pre-encoding builds.
-    pub fn is_differential(&self) -> bool {
-        matches!(self, EncodingSpec::DifferentialPair)
-    }
-}
-
-/// Programming-effort estimate for a set of encoded targets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PulseBudget {
-    /// Total pulse slots issued (reset + program, both crossbars).
-    pub pulses: u64,
-    /// Summed pulse width in seconds over all non-trivial pulses.
-    pub total_width_s: f64,
-}
-
-/// Prices the programming effort of `encoded` under the device's real
-/// switching dynamics.
-///
-/// Continuous rows cost a reset plus one pre-calculated SET per device
-/// (the paper's open-loop write). Quantized rows cost a reset plus one
-/// successive-approximation program-verify pulse per bit, each pulse
-/// width obtained from the nominal switching model
-/// ([`precalculate_pulse_conductance`]) along the bisection trajectory.
-/// The slot count always matches [`EncodingTable::programming_pulses`];
-/// the width is where level count and target placement actually matter.
-pub fn pulse_plan(params: &DeviceParams, encoded: &EncodedTargets) -> Result<PulseBudget> {
-    let (g_min, g_max) = (params.g_off(), params.g_on());
-    let reset = precalculate_pulse_conductance(params, g_max, g_min)?;
-    let mut pulses = 0u64;
-    let mut total_width_s = 0.0;
-    for (q, &levels) in encoded.table.levels().iter().enumerate() {
-        for side in [&encoded.pos, &encoded.neg] {
-            for j in 0..side.cols() {
-                let target = side[(q, j)];
-                pulses += EncodingTable::pulses_per_device(levels);
-                total_width_s += reset.width_s();
-                if levels == 0 {
-                    // One pre-calculated SET from the freshly reset state.
-                    if target > g_min {
-                        total_width_s +=
-                            precalculate_pulse_conductance(params, g_min, target)?.width_s();
-                    }
-                } else {
-                    // Successive approximation: one bisection step per bit.
-                    let (mut lo, mut hi, mut cur) = (g_min, g_max, g_min);
-                    for _ in 0..EncodingTable::bits_for(levels) {
-                        let mid = 0.5 * (lo + hi);
-                        if (mid - cur).abs() > f64::EPSILON * g_max {
-                            total_width_s +=
-                                precalculate_pulse_conductance(params, cur, mid)?.width_s();
-                        }
-                        cur = mid;
-                        if target > mid {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
+            } => {
+                check_bits(low_bits)?;
+                check_bits(high_bits)?;
+                if low_bits > high_bits {
+                    return Err(XbarError::InvalidParameter {
+                        name: "low_bits",
+                        requirement: "must not exceed high_bits",
+                    });
                 }
+                if !(0.0..=1.0).contains(&fine_fraction) {
+                    return Err(XbarError::InvalidParameter {
+                        name: "fine_fraction",
+                        requirement: "must be in [0, 1]",
+                    });
+                }
+                let sensitivity: Vec<f64> = match row_sensitivity {
+                    Some(s) if s.len() != rows => {
+                        return Err(XbarError::ShapeMismatch {
+                            context: "adaptive row sensitivity",
+                            expected: rows,
+                            actual: s.len(),
+                        })
+                    }
+                    Some(s) => s.to_vec(),
+                    None => (0..rows)
+                        .map(|q| weights.row(q).iter().map(|w| w.abs()).sum())
+                        .collect(),
+                };
+                let mut levels = vec![1u16 << low_bits; rows];
+                for q in fine_rows(&sensitivity, fine_fraction) {
+                    levels[q] = 1 << high_bits;
+                }
+                Some((EncodingScheme::AdaptiveRow, levels))
+            }
+        };
+        let (mut pos, mut neg) = mapping.weights_to_targets(weights);
+        let Some((scheme, levels)) = quantized else {
+            return Ok(EncodedTargets {
+                pos,
+                neg,
+                table: EncodingTable::differential(rows),
+            });
+        };
+        let (g_min, g_max) = (mapping.g_min(), mapping.g_max());
+        for (q, &l) in levels.iter().enumerate() {
+            for g in pos.row_mut(q) {
+                *g = quantize_to_levels(*g, g_min, g_max, l);
+            }
+            for g in neg.row_mut(q) {
+                *g = quantize_to_levels(*g, g_min, g_max, l);
             }
         }
+        Ok(EncodedTargets {
+            pos,
+            neg,
+            table: EncodingTable::new(scheme, levels)?,
+        })
     }
-    Ok(PulseBudget {
-        pulses,
-        total_width_s,
-    })
+}
+
+/// Bits per cell must lie in `1..=12` (4096 levels is already beyond any
+/// demonstrated MLC device).
+fn check_bits(bits: u8) -> Result<()> {
+    if (1..=12).contains(&bits) {
+        Ok(())
+    } else {
+        Err(XbarError::InvalidParameter {
+            name: "bits",
+            requirement: "must be in 1..=12",
+        })
+    }
+}
+
+/// Indices of the `fine_fraction` most sensitive rows (rounded to
+/// nearest), by descending sensitivity with index tie-break.
+fn fine_rows(sensitivity: &[f64], fine_fraction: f64) -> Vec<usize> {
+    let n_fine = (fine_fraction * sensitivity.len() as f64).round() as usize;
+    let n_fine = n_fine.min(sensitivity.len());
+    let mut order: Vec<usize> = (0..sensitivity.len()).collect();
+    order.sort_by(|&a, &b| {
+        sensitivity[b]
+            .partial_cmp(&sensitivity[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    order.truncate(n_fine);
+    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vortex_device::DeviceParams;
 
     fn mapping() -> WeightMapping {
         WeightMapping::new(&DeviceParams::default(), 1.0).unwrap()
@@ -552,9 +376,7 @@ mod tests {
     fn differential_encoding_matches_legacy_targets_bitwise() {
         let m = mapping();
         let w = weights();
-        let enc = DifferentialPair
-            .encode(&w, &m, &EncodingContext::default())
-            .unwrap();
+        let enc = EncodingSpec::DifferentialPair.encode(&w, &m, None).unwrap();
         let (pos, neg) = m.weights_to_targets(&w);
         assert_eq!(enc.pos.as_slice(), pos.as_slice());
         assert_eq!(enc.neg.as_slice(), neg.as_slice());
@@ -566,9 +388,8 @@ mod tests {
     fn mlc_snaps_to_grid_and_keeps_zero_exact() {
         let m = mapping();
         let w = weights();
-        let enc = MultiLevelCell::new(3)
-            .unwrap()
-            .encode(&w, &m, &EncodingContext::default())
+        let enc = EncodingSpec::MultiLevelCell { bits: 3 }
+            .encode(&w, &m, None)
             .unwrap();
         let step = (m.g_max() - m.g_min()) / 7.0;
         for &g in enc.pos.as_slice().iter().chain(enc.neg.as_slice()) {
@@ -600,80 +421,98 @@ mod tests {
         let w = weights();
         // Row 2 has the largest L1 mass, row 0 second; fraction 0.5 of 4
         // rows = 2 fine rows.
-        let enc = AdaptiveRowQuant::new(2, 6, 0.5)
-            .unwrap()
-            .encode(&w, &m, &EncodingContext::default())
-            .unwrap();
+        let spec = adaptive(2, 6, 0.5);
+        let enc = spec.encode(&w, &m, None).unwrap();
         assert_eq!(enc.table.levels(), &[64, 4, 64, 4]);
         // Explicit sensitivity overrides the weight-mass fallback.
-        let sens = [0.0, 9.0, 0.1, 8.0];
-        let ctx = EncodingContext {
-            row_sensitivity: Some(&sens),
-        };
-        let enc = AdaptiveRowQuant::new(2, 6, 0.5)
-            .unwrap()
-            .encode(&w, &m, &ctx)
-            .unwrap();
+        let enc = spec.encode(&w, &m, Some(&[0.0, 9.0, 0.1, 8.0])).unwrap();
         assert_eq!(enc.table.levels(), &[4, 64, 4, 64]);
     }
 
     #[test]
     fn adaptive_rejects_mismatched_sensitivity() {
-        let sens = [1.0; 3];
-        let ctx = EncodingContext {
-            row_sensitivity: Some(&sens),
-        };
-        let err = AdaptiveRowQuant::new(2, 6, 0.5)
-            .unwrap()
-            .encode(&weights(), &mapping(), &ctx)
+        let err = adaptive(2, 6, 0.5)
+            .encode(&weights(), &mapping(), Some(&[1.0; 3]))
             .unwrap_err();
-        assert!(matches!(err, XbarError::ShapeMismatch { .. }));
+        assert!(matches!(
+            err,
+            XbarError::ShapeMismatch {
+                context: "adaptive row sensitivity",
+                expected: 4,
+                actual: 3,
+            }
+        ));
+    }
+
+    fn adaptive(low_bits: u8, high_bits: u8, fine_fraction: f64) -> EncodingSpec {
+        EncodingSpec::AdaptiveRowQuant {
+            low_bits,
+            high_bits,
+            fine_fraction,
+        }
     }
 
     #[test]
     fn spec_validation() {
-        assert!(EncodingSpec::MultiLevelCell { bits: 0 }.build().is_err());
-        assert!(EncodingSpec::MultiLevelCell { bits: 13 }.build().is_err());
-        assert!(EncodingSpec::AdaptiveRowQuant {
-            low_bits: 6,
-            high_bits: 2,
-            fine_fraction: 0.5
-        }
-        .build()
-        .is_err());
-        assert!(EncodingSpec::AdaptiveRowQuant {
-            low_bits: 2,
-            high_bits: 6,
-            fine_fraction: 1.5
-        }
-        .build()
-        .is_err());
-        assert!(EncodingSpec::default().is_differential());
+        let rejected = |spec: EncodingSpec| match spec.encode(&weights(), &mapping(), None) {
+            Err(XbarError::InvalidParameter { name, .. }) => name,
+            other => panic!("{spec:?} accepted: {other:?}"),
+        };
+        assert_eq!(rejected(EncodingSpec::MultiLevelCell { bits: 0 }), "bits");
+        assert_eq!(rejected(EncodingSpec::MultiLevelCell { bits: 13 }), "bits");
+        assert_eq!(rejected(adaptive(0, 6, 0.5)), "bits");
+        assert_eq!(rejected(adaptive(2, 13, 0.5)), "bits");
+        assert_eq!(rejected(adaptive(6, 2, 0.5)), "low_bits");
+        assert_eq!(rejected(adaptive(2, 6, 1.5)), "fine_fraction");
+        assert_eq!(rejected(adaptive(2, 6, -0.1)), "fine_fraction");
+        // Validation precedes the sensitivity shape check.
+        let err = adaptive(6, 2, 0.5)
+            .encode(&weights(), &mapping(), Some(&[1.0; 3]))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            XbarError::InvalidParameter {
+                name: "low_bits",
+                ..
+            }
+        ));
     }
 
+    /// FNV-1a over the bit patterns of both target matrices.
+    fn targets_hash(enc: &EncodedTargets) -> u64 {
+        let bytes = enc.pos.as_slice().iter().chain(enc.neg.as_slice());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// The targets and tables of every spec, bit for bit, on a fixed
+    /// weight matrix with explicit row sensitivity.
     #[test]
-    fn pulse_accounting_matches_table_arithmetic() {
+    fn encoded_targets_are_pinned() {
         let m = mapping();
-        let w = weights();
-        let cols = w.cols();
-        for spec in [
+        let w = Matrix::from_fn(6, 4, |i, j| ((i * 4 + j) as f64 * 0.71).sin() * 0.9);
+        let sens = [0.3, 0.1, 0.9, 0.2, 0.8, 0.05];
+        let got = [
             EncodingSpec::DifferentialPair,
-            EncodingSpec::MultiLevelCell { bits: 4 },
-            EncodingSpec::AdaptiveRowQuant {
-                low_bits: 2,
-                high_bits: 6,
-                fine_fraction: 0.5,
-            },
-        ] {
-            let enc = spec
-                .build()
-                .unwrap()
-                .encode(&w, &m, &EncodingContext::default())
-                .unwrap();
-            let budget = pulse_plan(&DeviceParams::default(), &enc).unwrap();
-            assert_eq!(budget.pulses, enc.table.programming_pulses(cols));
-            assert!(budget.total_width_s > 0.0);
-        }
+            EncodingSpec::MultiLevelCell { bits: 3 },
+            adaptive(2, 5, 0.5),
+        ]
+        .map(|spec| {
+            let enc = spec.encode(&w, &m, Some(&sens)).unwrap();
+            (targets_hash(&enc), enc.table.levels().to_vec())
+        });
+        assert_eq!(
+            got,
+            [
+                (0xb551_a7ea_9f6b_5250, vec![0; 6]),
+                (0xd7e8_4ecc_9438_70b9, vec![8; 6]),
+                (0x9908_1576_a264_b39b, vec![32, 4, 32, 4, 32, 4]),
+            ],
+            "encoded targets moved"
+        );
     }
 
     #[test]

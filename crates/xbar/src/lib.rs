@@ -17,10 +17,11 @@
 //! * [`pretest`] — AMP's device pre-testing procedure (§4.2.1).
 //! * [`pair`] — differential (positive/negative) crossbar pair mapping of
 //!   signed weight matrices (§2.2.1).
-//! * [`encoding`] — pluggable weight→conductance encodings: continuous
-//!   differential (the paper), fixed multi-level-cell quantization, and
-//!   sensitivity-driven per-row adaptive quantization, with
-//!   programming-pulse cost accounting.
+//! * [`encoding`] — the weight→conductance encoding step
+//!   ([`EncodingSpec::encode`]): continuous differential (the paper),
+//!   fixed multi-level-cell quantization, or sensitivity-driven per-row
+//!   adaptive quantization, with the per-row [`EncodingTable`] that
+//!   prices the programming pulses.
 //!
 //! # Example
 //!
@@ -55,7 +56,7 @@ pub mod program;
 pub mod sensing;
 
 pub use crossbar::{Crossbar, CrossbarConfig};
-pub use encoding::{EncodingScheme, EncodingSpec, EncodingTable, WeightEncoding};
+pub use encoding::{EncodingScheme, EncodingSpec, EncodingTable};
 pub use pair::{DifferentialPair, FrozenPairState};
 pub use sensing::Adc;
 
