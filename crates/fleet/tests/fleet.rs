@@ -341,3 +341,56 @@ fn ensemble_read_votes_exactly_like_the_offline_models() {
     ));
     fleet.shutdown();
 }
+
+/// Two replicas on one pool thread: a replica's pump lingering for a
+/// partial batch on the otherwise idle pool hands the thread over as soon
+/// as the other replica's pump is queued, instead of waiting out
+/// `max_wait`. The last linger ends on shutdown, as on any idle pool.
+#[test]
+fn replicas_sharing_one_pool_thread_cut_each_others_linger_short() {
+    use std::time::{Duration, Instant};
+
+    let pool = Arc::new(WorkerPool::new(1));
+    let fleet = Fleet::on_pool(
+        pool,
+        chips(2),
+        FleetConfig::new(RoutingPolicy::RoundRobin).with_scheduler(
+            SchedulerConfig::new(Parallelism::Fixed(1)).with_batching(64, Duration::from_secs(10)),
+        ),
+    )
+    .unwrap();
+    // A replica's queue reads empty once its pump has drained the request
+    // and parked for the rest of its batch. (A scheduler that does not
+    // publish the drained depth before lingering gets a second.)
+    let drained = |replica: usize| {
+        let by = Instant::now() + Duration::from_secs(1);
+        while fleet.queue_depths()[replica] > 0 && Instant::now() < by {
+            std::thread::yield_now();
+        }
+    };
+    let (first, lingering) = fleet.submit(0, input(0), None).unwrap();
+    let mut tickets = vec![(first, lingering)];
+    // Round robin alternates replicas: each submission queues the other
+    // replica's pump behind the one lingering on the only thread.
+    for k in 1..3 {
+        drained(tickets.last().unwrap().0);
+        let (replica, ticket) = fleet.submit(k, input(k as usize), None).unwrap();
+        let queued = Instant::now();
+        let (previous, lingering) = tickets.last().unwrap();
+        assert_ne!(replica, *previous, "round robin alternates replicas");
+        lingering
+            .wait_timeout(Duration::from_secs(5))
+            .expect("the pump kept lingering after the other replica's pump was queued")
+            .expect("the request is served");
+        let waited = queued.elapsed();
+        assert!(
+            waited < Duration::from_millis(500),
+            "replica {previous} answered after {waited:?}"
+        );
+        tickets.push((replica, ticket));
+    }
+    fleet.shutdown();
+    let (_, last) = tickets.pop().unwrap();
+    last.wait()
+        .expect("shutdown dispatches the lingering batch");
+}

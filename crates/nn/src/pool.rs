@@ -12,8 +12,10 @@
 //!   scoped, blocking [`WorkerPool::run_indexed`] fan-out;
 //! * the serve scheduler submits long-lived detached "pump" jobs, and
 //!   training jobs their mini-epoch slices, via [`WorkerPool::submit`].
-//!   Both poll [`WorkerPool::has_queued`] so that neither holds a thread
-//!   while other work waits.
+//!   Neither holds a thread while other work waits: a slice polls
+//!   [`WorkerPool::has_queued`] between samples, and a pump lingering for
+//!   a partial batch parks in [`WorkerPool::park_while_idle`], which
+//!   returns the moment a job is queued.
 //!
 //! # Work claiming
 //!
@@ -57,6 +59,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Environment variable overriding the size of the global pool.
 pub const POOL_THREADS_ENV_VAR: &str = "VORTEX_POOL_THREADS";
@@ -76,11 +79,17 @@ struct Job {
 struct JobQueue {
     jobs: VecDeque<Job>,
     shutdown: bool,
+    /// Jobs waiting on `PoolShared::parked` inside
+    /// [`WorkerPool::park_while_idle`]; enqueues notify only when nonzero.
+    parked: usize,
 }
 
 struct PoolShared {
     queue: Mutex<JobQueue>,
     available: Condvar,
+    /// Wakes parked jobs: notified on every enqueue and by
+    /// [`WorkerPool::unpark`].
+    parked: Condvar,
 }
 
 /// A persistent pool of worker threads. See the module docs.
@@ -129,8 +138,10 @@ impl WorkerPool {
             queue: Mutex::new(JobQueue {
                 jobs: VecDeque::new(),
                 shutdown: false,
+                parked: 0,
             }),
             available: Condvar::new(),
+            parked: Condvar::new(),
         });
         let threads = (0..size)
             .map(|i| {
@@ -185,8 +196,10 @@ impl WorkerPool {
     ///
     /// This is what makes the pool work-conserving for its co-resident
     /// clients. A training slice stops at the next sample and requeues
-    /// itself behind the waiting job. A serve pump skips its partial-batch
-    /// linger instead of holding the thread idle.
+    /// itself behind the waiting job. A serve pump parks for its
+    /// partial-batch linger in [`Self::park_while_idle`], which applies
+    /// the same test for the whole linger: the linger ends when other pool
+    /// work is queued, at any point during it.
     pub fn has_queued(&self) -> bool {
         !self
             .shared
@@ -210,8 +223,62 @@ impl WorkerPool {
             run: DETACHED_RUN,
             call: Box::new(f),
         });
+        let wake_parked = queue.parked > 0;
         drop(queue);
         self.shared.available.notify_one();
+        if wake_parked {
+            self.shared.parked.notify_all();
+        }
+    }
+
+    /// Parks the calling pool job while the pool is otherwise idle: until
+    /// `deadline`, until any job is queued for a thread (what
+    /// [`Self::has_queued`] reports), or until `ready()` turns true,
+    /// whichever comes first. Returns whether queued pool work ended the
+    /// park — checked first, so a job queued when the call starts ends it
+    /// at once.
+    ///
+    /// This is the one work-conserving wait of the pool: a serve pump
+    /// lingering for a partial batch holds its thread only while no other
+    /// job waits for one, for the whole linger and not only at its start.
+    /// Every enqueue ([`Self::submit`] and the helpers of
+    /// [`Self::run_indexed`]) wakes parked jobs; there is no polling
+    /// interval.
+    ///
+    /// `ready` runs under the pool's queue lock, so it must not block or
+    /// take a lock that is held while calling into this pool. Whoever
+    /// makes it true must then call [`Self::unpark`], or the wake-up waits
+    /// for the next enqueue or the deadline.
+    pub fn park_while_idle(&self, deadline: Instant, ready: impl Fn() -> bool) -> bool {
+        let mut queue = self.shared.queue.lock().expect("pool queue lock");
+        loop {
+            if !queue.jobs.is_empty() {
+                return true;
+            }
+            let now = Instant::now();
+            if ready() || now >= deadline {
+                return false;
+            }
+            queue.parked += 1;
+            queue = self
+                .shared
+                .parked
+                .wait_timeout(queue, deadline - now)
+                .expect("pool queue lock")
+                .0;
+            queue.parked -= 1;
+        }
+    }
+
+    /// Wakes every job parked in [`Self::park_while_idle`] so each
+    /// re-checks its `ready` condition. Call it after making a condition
+    /// true: the queue lock taken here orders that write before the
+    /// re-check, so no wake-up is lost.
+    pub fn unpark(&self) {
+        let parked = self.shared.queue.lock().expect("pool queue lock").parked;
+        if parked > 0 {
+            self.shared.parked.notify_all();
+        }
     }
 
     /// Runs `f(k)` once for every `k < tasks` using up to `concurrency`
@@ -274,6 +341,9 @@ impl WorkerPool {
                     // the non-`Send` raw pointer out of the `Send` wrapper.
                     call: Box::new(move || unsafe { enter(ptr.get()) }),
                 });
+            }
+            if queue.parked > 0 {
+                self.shared.parked.notify_all();
             }
         }
         self.shared.available.notify_all();
@@ -562,6 +632,114 @@ mod tests {
         wedge_tx.send(()).expect("wedged worker still listening");
         done_rx.recv().expect("queued job runs");
         assert!(!pool.has_queued());
+    }
+
+    /// Blocks until `n` jobs are parked in `park_while_idle`.
+    fn wait_until_parked(pool: &WorkerPool, n: usize) {
+        let give_up = Instant::now() + std::time::Duration::from_secs(5);
+        while pool.shared.queue.lock().expect("pool queue lock").parked != n {
+            assert!(Instant::now() < give_up, "no job parked");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Parks the only thread of `pool` with a 10 s deadline; the receiver
+    /// yields what the park returned and how long it took.
+    fn park_on(
+        pool: &Arc<WorkerPool>,
+        ready: impl Fn() -> bool + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<(bool, std::time::Duration)> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = Arc::clone(pool);
+        pool.submit(move || {
+            let start = Instant::now();
+            let by_work = handle.park_while_idle(start + std::time::Duration::from_secs(10), ready);
+            // The test holds the last handle, so the pool never drops
+            // on its own worker thread.
+            drop(handle);
+            let _ = tx.send((by_work, start.elapsed()));
+        });
+        rx
+    }
+
+    #[test]
+    fn park_ends_when_a_job_is_submitted() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let parked = park_on(&pool, || false);
+        wait_until_parked(&pool, 1);
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        pool.submit(move || {
+            let _ = ran_tx.send(());
+        });
+        let (by_work, took) = parked
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the park ends on submit");
+        assert!(by_work, "queued work must be reported as what ended it");
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+        ran_rx
+            .recv()
+            .expect("the submitted job runs after the park");
+    }
+
+    #[test]
+    fn park_ends_when_a_fan_out_enqueues_a_helper() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let parked = Mutex::new(park_on(&pool, || false));
+        wait_until_parked(&pool, 1);
+        // The caller claims task 0 first (the only thread is parked) and
+        // holds the fan-out open until the park reports, so the helper is
+        // still queued when the parked job looks.
+        let out = pool.run_indexed(2, 2, |k| {
+            (k == 0).then(|| {
+                parked
+                    .lock()
+                    .expect("receiver lock")
+                    .recv_timeout(std::time::Duration::from_secs(5))
+                    .expect("the park ends on a helper enqueue")
+            })
+        });
+        let (by_work, took) = out[0].expect("task 0 reads the park result");
+        assert!(by_work);
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+    }
+
+    #[test]
+    fn park_ends_when_ready_turns_true() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let seen = Arc::clone(&flag);
+        let parked = park_on(&pool, move || seen.load(Ordering::Relaxed));
+        wait_until_parked(&pool, 1);
+        flag.store(true, Ordering::Relaxed);
+        pool.unpark();
+        let (by_work, took) = parked
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the park ends on ready");
+        assert!(!by_work, "ready, not queued work, ended the park");
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+    }
+
+    #[test]
+    fn park_ends_at_the_deadline_on_an_idle_pool() {
+        let pool = WorkerPool::new(1);
+        let wait = std::time::Duration::from_millis(30);
+        let start = Instant::now();
+        let by_work = pool.park_while_idle(start + wait, || false);
+        assert!(!by_work);
+        assert!(start.elapsed() >= wait);
+        // A job already queued ends the park before it starts.
+        let (wedge_tx, wedge_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        pool.submit(move || {
+            let _ = started_tx.send(());
+            let _ = wedge_rx.recv();
+        });
+        started_rx.recv().expect("wedge job starts");
+        pool.submit(|| {});
+        let start = Instant::now();
+        assert!(pool.park_while_idle(start + std::time::Duration::from_secs(10), || false));
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        wedge_tx.send(()).expect("wedged worker still listening");
     }
 
     #[test]
