@@ -125,14 +125,21 @@ impl TrainingCheckpoint {
 
     /// Writes the checkpoint to `path` through
     /// [`artifact::atomic_write`]: a crash mid-save leaves the previous
-    /// checkpoint file intact.
+    /// checkpoint file intact. The two stages are timed as
+    /// `train.checkpoint.serialize_seconds` (sealing the bytes) and
+    /// `train.checkpoint.write_seconds` (the atomic file write with its
+    /// fsync and rename).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Artifact`] wrapping the I/O failure.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        atomic_write(path, &self.to_bytes())
-            .map_err(|e| RuntimeError::Artifact(ArtifactError::from(e)))
+        let bytes = {
+            let _span = vortex_obs::span!("train.checkpoint.serialize_seconds");
+            self.to_bytes()
+        };
+        let _span = vortex_obs::span!("train.checkpoint.write_seconds");
+        atomic_write(path, &bytes).map_err(|e| RuntimeError::Artifact(ArtifactError::from(e)))
     }
 
     /// Reads a checkpoint from `path`.
