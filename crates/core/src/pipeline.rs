@@ -519,7 +519,7 @@ impl ModelCompiler {
             state.g_pos.map_inplace(|g| cell.effective_conductance(g));
             state.g_neg.map_inplace(|g| cell.effective_conductance(g));
         }
-        CompiledModel::compile_encoded(
+        CompiledModel::compile(
             &state,
             mapping.assignment(),
             &options,

@@ -14,7 +14,9 @@ use vortex_linalg::Matrix;
 use vortex_nn::dataset::{Dataset, DatasetConfig, SynthDigits};
 use vortex_nn::executor::Parallelism;
 use vortex_nn::gdt::GdtTrainer;
-use vortex_xbar::encoding::{EncodingScheme, EncodingSpec};
+use vortex_runtime::CompiledModel;
+use vortex_xbar::encoding::{EncodingScheme, EncodingSpec, EncodingTable};
+use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 
 fn small_setup() -> (Dataset, Matrix) {
     let data = SynthDigits::generate(&DatasetConfig::tiny(), 7).unwrap();
@@ -59,6 +61,39 @@ fn request_and_phase_functions_agree_byte_for_byte() {
             "{name}: request and phase functions compiled different models"
         );
     }
+}
+
+/// Test chips are production chips: a pair programmed the way the
+/// serving, runtime and fleet suites build their fixtures — fabricate,
+/// `weights_to_targets`, then the V/2 protocol on the positive and the
+/// negative crossbar, frozen by `CompiledModel::compile` — is the chip
+/// `ModelCompiler::program` + `freeze` builds from the same seed, byte for
+/// byte.
+#[test]
+fn test_fixture_route_equals_the_compiler() {
+    let (_, w) = small_setup();
+    let mapping = RowMapping::identity(w.rows());
+    let env = HardwareEnv::with_sigma(0.3).unwrap();
+    let compiler = env.compiler();
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(23);
+    let pair = compiler.program(&w, &mapping, &mut rng).unwrap();
+    let via_compiler = compiler.freeze(&pair, &mapping).unwrap();
+
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(23);
+    let mut pair = fabricate_pair(w.cols(), w.rows(), &env, &mut rng).unwrap();
+    let (tp, tn) = pair.mapping().weights_to_targets(&w);
+    let protocol = ProgramOptions::default();
+    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
+    let via_fixture = CompiledModel::compile(
+        &pair.freeze(),
+        mapping.assignment(),
+        &env.read_options(pair.rows()).unwrap(),
+        None,
+        EncodingTable::differential(pair.rows()),
+    )
+    .unwrap();
+    assert_eq!(via_fixture.to_bytes(), via_compiler.to_bytes());
 }
 
 #[test]

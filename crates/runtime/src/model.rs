@@ -2,8 +2,9 @@
 //!
 //! Compilation happens once — [`CompiledModel::compile`] takes the
 //! snapshot of a programmed differential pair, the logical→physical row
-//! routing, and the read-path options, performs the (expensive) IR-drop
-//! calibration if requested, and freezes everything the read needs:
+//! routing, the read-path options and the per-row encoding table, performs
+//! the (expensive) IR-drop calibration if requested, and freezes
+//! everything the read needs:
 //!
 //! * the two conductance matrices as programmed,
 //! * the differential scale `s` with `w = (i⁺ − i⁻)/s`,
@@ -244,36 +245,18 @@ impl CompiledModel {
     /// [`Fidelity::Exact`] the per-crossbar transfer matrices are built
     /// here (and rebuilt by every derived copy and on artifact load).
     ///
+    /// `encoding` is the per-row [`EncodingTable`] the weight encoding
+    /// produced (`EncodingTable::differential(rows)` for the paper's
+    /// continuous pair); it is persisted with the artifact (format v3) so
+    /// a reloaded model still knows its own programming resolution and
+    /// pulse cost.
+    ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidParameter`] for inconsistent shapes
-    /// or routing, and propagates calibration and transfer-matrix solver
-    /// errors.
+    /// or routing, or a table whose row count disagrees with the frozen
+    /// pair, and propagates calibration and transfer-matrix solver errors.
     pub fn compile(
-        state: &FrozenPairState,
-        assignment: &[usize],
-        options: &ReadOptions,
-        calibration: Option<&[f64]>,
-    ) -> Result<Self> {
-        Self::compile_encoded(
-            state,
-            assignment,
-            options,
-            calibration,
-            EncodingTable::differential(state.rows()),
-        )
-    }
-
-    /// [`Self::compile`] carrying the per-row [`EncodingTable`] the
-    /// compiler's weight encoding produced; the table is persisted with
-    /// the artifact (format v3) so a reloaded model still knows its own
-    /// programming resolution and pulse cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::compile`]; additionally rejects a table whose row
-    /// count disagrees with the frozen pair.
-    pub fn compile_encoded(
         state: &FrozenPairState,
         assignment: &[usize],
         options: &ReadOptions,
@@ -926,6 +909,7 @@ mod tests {
     use vortex_linalg::rng::Xoshiro256PlusPlus;
     use vortex_xbar::crossbar::CrossbarConfig;
     use vortex_xbar::pair::{DifferentialPair, ReadCircuit, WeightMapping};
+    use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(seed)
@@ -942,8 +926,11 @@ mod tests {
         let w = Matrix::from_fn(rows, cols, |i, j| {
             ((i * cols + j) as f64 * 0.53).sin() * 0.8
         });
-        pair.program_open_loop(&w, None, &mut rng(seed + 1))
-            .unwrap();
+        let (tp, tn) = pair.mapping().weights_to_targets(&w);
+        let mut r = rng(seed + 1);
+        let protocol = ProgramOptions::default();
+        program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut r).unwrap();
+        program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut r).unwrap();
         pair
     }
 
@@ -959,6 +946,7 @@ mod tests {
             &identity(6),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         let x = [0.3, 0.0, 1.0, 0.7, 0.2, 0.9];
@@ -979,6 +967,7 @@ mod tests {
             &identity(8),
             &ReadOptions::new(Fidelity::Calibrated),
             Some(&reference),
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         let x = [1.0, 0.0, 0.5, 0.25, 0.8, 0.0, 0.4, 1.0];
@@ -997,6 +986,7 @@ mod tests {
             &identity(5),
             &ReadOptions::new(Fidelity::Exact),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         let x = [0.9, 0.1, 0.0, 0.6, 0.3];
@@ -1019,7 +1009,14 @@ mod tests {
             adc: Some(adc),
             dac: Some(dac),
         };
-        let model = CompiledModel::compile(&pair.freeze(), &identity(6), &options, None).unwrap();
+        let model = CompiledModel::compile(
+            &pair.freeze(),
+            &identity(6),
+            &options,
+            None,
+            EncodingTable::differential(pair.rows()),
+        )
+        .unwrap();
         let x = [0.31, 0.77, 0.0, 0.52, 0.93, 0.18];
         let routed = dac.convert_vec(&x);
         let live = pair.read(&routed, &ReadCircuit::Ideal, Some(&adc)).unwrap();
@@ -1038,6 +1035,7 @@ mod tests {
             &[2, 0],
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         assert_eq!(model.logical_rows(), 2);
@@ -1058,6 +1056,7 @@ mod tests {
             &identity(8),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         let inputs: Vec<Vec<f64>> = (0..101)
@@ -1083,21 +1082,30 @@ mod tests {
         let pair = programmed_pair(4, 2, 0.0, 55);
         let state = pair.freeze();
         // Out-of-range physical row.
-        assert!(
-            CompiledModel::compile(&state, &[0, 9], &ReadOptions::new(Fidelity::Ideal), None)
-                .is_err()
-        );
+        assert!(CompiledModel::compile(
+            &state,
+            &[0, 9],
+            &ReadOptions::new(Fidelity::Ideal),
+            None,
+            EncodingTable::differential(state.rows())
+        )
+        .is_err());
         // Duplicate physical row.
-        assert!(
-            CompiledModel::compile(&state, &[1, 1], &ReadOptions::new(Fidelity::Ideal), None)
-                .is_err()
-        );
+        assert!(CompiledModel::compile(
+            &state,
+            &[1, 1],
+            &ReadOptions::new(Fidelity::Ideal),
+            None,
+            EncodingTable::differential(state.rows())
+        )
+        .is_err());
         // Calibrated without a reference.
         assert!(CompiledModel::compile(
             &state,
             &[0, 1, 2, 3],
             &ReadOptions::new(Fidelity::Calibrated),
-            None
+            None,
+            EncodingTable::differential(state.rows())
         )
         .is_err());
         // Wrong input length at inference time.
@@ -1106,6 +1114,7 @@ mod tests {
             &[0, 1, 2, 3],
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(state.rows()),
         )
         .unwrap();
         assert!(model.infer(&[1.0]).is_err());
@@ -1127,6 +1136,7 @@ mod tests {
             &identity(8),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap()
         .with_canary_inputs(inputs)
@@ -1159,6 +1169,7 @@ mod tests {
             &identity(4),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         // The decay matrices `age_with` applies lie in (0, 1].
@@ -1193,6 +1204,7 @@ mod tests {
             &identity(4),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         // Factors above 1 are fine — a hot chip conducts more, it does
@@ -1220,6 +1232,7 @@ mod tests {
             &identity(4),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         let retention = RetentionModel::new(0.6, 0.3, 1e-3).unwrap();
@@ -1242,6 +1255,7 @@ mod tests {
             &identity(4),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         let faulted = model
@@ -1280,6 +1294,7 @@ mod tests {
             &identity(4),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         assert!(model.canary().is_none());
@@ -1301,6 +1316,7 @@ mod tests {
             &identity(5),
             &ReadOptions::new(Fidelity::Ideal),
             None,
+            EncodingTable::differential(pair.rows()),
         )
         .unwrap();
         let a = pair.realized_weights();

@@ -9,7 +9,9 @@ use vortex_nn::executor::Parallelism;
 use vortex_runtime::artifact::{crc32, ArtifactError, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
 use vortex_runtime::{CompiledModel, Fidelity, ReadOptions, RuntimeError};
 use vortex_xbar::crossbar::CrossbarConfig;
+use vortex_xbar::encoding::EncodingTable;
 use vortex_xbar::pair::{DifferentialPair, WeightMapping};
+use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 use vortex_xbar::sensing::{Adc, Dac};
 
 fn compiled(rows: usize, cols: usize, r_wire: f64, fidelity: Fidelity, seed: u64) -> CompiledModel {
@@ -24,13 +26,23 @@ fn compiled(rows: usize, cols: usize, r_wire: f64, fidelity: Fidelity, seed: u64
     let w = Matrix::from_fn(rows, cols, |i, j| {
         ((i * cols + j) as f64 * 0.37).sin() * 0.7
     });
-    pair.program_open_loop(&w, None, &mut rng).unwrap();
+    let (tp, tn) = pair.mapping().weights_to_targets(&w);
+    let protocol = ProgramOptions::default();
+    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
     let assignment: Vec<usize> = (0..rows).collect();
     let mut options = ReadOptions::new(fidelity);
     options.adc = Some(Adc::new(8, 1e-3).unwrap());
     options.dac = Some(Dac::new(6, 1.0).unwrap());
     let reference = vec![0.4; rows];
-    CompiledModel::compile(&pair.freeze(), &assignment, &options, Some(&reference)).unwrap()
+    CompiledModel::compile(
+        &pair.freeze(),
+        &assignment,
+        &options,
+        Some(&reference),
+        EncodingTable::differential(pair.rows()),
+    )
+    .unwrap()
 }
 
 fn artifact_err(r: vortex_runtime::Result<CompiledModel>) -> ArtifactError {
@@ -285,21 +297,23 @@ fn version_two_artifacts_without_enct_load_as_differential() {
 
 #[test]
 fn version_three_roundtrips_per_row_encoding_tables() {
-    use vortex_xbar::encoding::{EncodingScheme, EncodingTable};
+    use vortex_xbar::encoding::EncodingScheme;
     let device = DeviceParams::default();
     let config = CrossbarConfig::ideal(6, 3, device);
     let mapping = WeightMapping::new(&device, 1.0).unwrap();
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(17);
     let mut pair = DifferentialPair::fabricate(config, mapping, &mut rng).unwrap();
     let w = Matrix::from_fn(6, 3, |i, j| ((i * 3 + j) as f64 * 0.37).sin() * 0.7);
-    pair.program_open_loop(&w, None, &mut rng).unwrap();
+    let (tp, tn) = pair.mapping().weights_to_targets(&w);
+    let protocol = ProgramOptions::default();
+    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
     let assignment: Vec<usize> = (0..6).collect();
     let options = ReadOptions::new(Fidelity::Ideal);
     // A mixed table: continuous rows (0) interleaved with quantized ones.
     let table = EncodingTable::new(EncodingScheme::AdaptiveRow, vec![0, 4, 16, 64, 4, 0]).unwrap();
     let model =
-        CompiledModel::compile_encoded(&pair.freeze(), &assignment, &options, None, table.clone())
-            .unwrap();
+        CompiledModel::compile(&pair.freeze(), &assignment, &options, None, table.clone()).unwrap();
     assert_eq!(model.encoding(), &table);
     let revived = CompiledModel::from_bytes(&model.to_bytes()).unwrap();
     assert_eq!(revived.encoding(), &table);

@@ -12,7 +12,9 @@ use vortex_nn::executor::Parallelism;
 use vortex_runtime::kernels::{gemv_ref, FastGemv};
 use vortex_runtime::{CompiledModel, Fidelity, ReadOptions};
 use vortex_xbar::crossbar::CrossbarConfig;
+use vortex_xbar::encoding::EncodingTable;
 use vortex_xbar::pair::{DifferentialPair, WeightMapping};
+use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 use vortex_xbar::sensing::{Adc, Dac};
 
 /// Compiles a small model on fabricated hardware; `adc` switches the
@@ -30,7 +32,10 @@ fn compiled(rows: usize, fidelity: Fidelity, adc: bool, seed: u64) -> CompiledMo
     let w = Matrix::from_fn(rows, cols, |i, j| {
         ((i * cols + j) as f64 * 0.37).sin() * 0.7
     });
-    pair.program_open_loop(&w, None, &mut rng).unwrap();
+    let (tp, tn) = pair.mapping().weights_to_targets(&w);
+    let protocol = ProgramOptions::default();
+    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
     let assignment: Vec<usize> = (0..rows).collect();
     let mut options = ReadOptions::new(fidelity);
     if adc {
@@ -38,7 +43,14 @@ fn compiled(rows: usize, fidelity: Fidelity, adc: bool, seed: u64) -> CompiledMo
     }
     options.dac = Some(Dac::new(6, 1.0).unwrap());
     let reference = vec![0.4; rows];
-    CompiledModel::compile(&pair.freeze(), &assignment, &options, Some(&reference)).unwrap()
+    CompiledModel::compile(
+        &pair.freeze(),
+        &assignment,
+        &options,
+        Some(&reference),
+        EncodingTable::differential(pair.rows()),
+    )
+    .unwrap()
 }
 
 fn inputs_for(rows: usize, count: usize) -> Vec<Vec<f64>> {

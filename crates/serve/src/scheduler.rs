@@ -268,6 +268,10 @@ struct Shared {
     /// [`Scheduler::swap_primary`]). Pumps take the read lock once per
     /// dispatch; the write lock is held only for the pointer swap.
     primary: RwLock<Arc<CompiledModel>>,
+    /// The serving shape's logical row count, fixed at construction:
+    /// the fallback is checked against it there and every replacement by
+    /// [`Scheduler::swap_primary`], so admission reads it lock-free.
+    logical_rows: usize,
     fallback: Option<Arc<CompiledModel>>,
     chaos: Option<ChaosPlan>,
     /// Monotone dispatch sequence; the key a [`ChaosPlan`] fires on.
@@ -451,6 +455,7 @@ impl Scheduler {
             max_batch: config.max_batch,
             max_wait: config.max_wait,
             pump_limit,
+            logical_rows: primary.logical_rows(),
             primary: RwLock::new(primary),
             fallback,
             chaos,
@@ -480,13 +485,7 @@ impl Scheduler {
     /// [`ServeError::ShuttingDown`] after shutdown, and
     /// [`ServeError::InvalidParameter`] for a wrong input length.
     pub fn try_submit(&self, input: Vec<f64>, deadline: Option<Instant>) -> Result<Ticket> {
-        let logical_rows = self
-            .shared
-            .primary
-            .read()
-            .expect("primary lock")
-            .logical_rows();
-        if input.len() != logical_rows {
+        if input.len() != self.shared.logical_rows {
             return Err(ServeError::InvalidParameter {
                 name: "input",
                 requirement: "length must match the model's logical row count",

@@ -11,7 +11,9 @@ use vortex_serve::lifetime::{
     RecalibrationPolicy, TemperatureProfile, ThermalModel, WearModel, REFERENCE_C,
 };
 use vortex_xbar::crossbar::CrossbarConfig;
+use vortex_xbar::encoding::EncodingTable;
 use vortex_xbar::pair::{DifferentialPair, WeightMapping};
+use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 
 const ROWS: usize = 6;
 const COLS: usize = 3;
@@ -30,7 +32,10 @@ fn fresh_model() -> CompiledModel {
     let w = Matrix::from_fn(ROWS, COLS, |i, j| {
         ((i * COLS + j) as f64 * 0.53).sin() * 0.8
     });
-    pair.program_open_loop(&w, None, &mut rng).unwrap();
+    let (tp, tn) = pair.mapping().weights_to_targets(&w);
+    let protocol = ProgramOptions::default();
+    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
     let assignment: Vec<usize> = (0..ROWS).collect();
     let calibration = vec![0.5; ROWS];
     CompiledModel::compile(
@@ -38,6 +43,7 @@ fn fresh_model() -> CompiledModel {
         &assignment,
         &ReadOptions::new(Fidelity::Calibrated),
         Some(&calibration),
+        EncodingTable::differential(pair.rows()),
     )
     .unwrap()
     .with_canary_inputs((0..24).map(input).collect())

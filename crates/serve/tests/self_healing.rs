@@ -16,7 +16,9 @@ use vortex_runtime::{CompiledModel, ReadOptions};
 use vortex_serve::prelude::*;
 use vortex_serve::ServeError;
 use vortex_xbar::crossbar::CrossbarConfig;
+use vortex_xbar::encoding::EncodingTable;
 use vortex_xbar::pair::{DifferentialPair, WeightMapping};
+use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 
 const ROWS: usize = 6;
 const COLS: usize = 3;
@@ -36,7 +38,10 @@ fn fresh_model() -> CompiledModel {
     let w = Matrix::from_fn(ROWS, COLS, |i, j| {
         ((i * COLS + j) as f64 * 0.53).sin() * 0.8
     });
-    pair.program_open_loop(&w, None, &mut rng).unwrap();
+    let (tp, tn) = pair.mapping().weights_to_targets(&w);
+    let protocol = ProgramOptions::default();
+    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
     let assignment: Vec<usize> = (0..ROWS).collect();
     let calibration = vec![0.5; ROWS];
     CompiledModel::compile(
@@ -44,6 +49,7 @@ fn fresh_model() -> CompiledModel {
         &assignment,
         &ReadOptions::new(Fidelity::Calibrated),
         Some(&calibration),
+        EncodingTable::differential(pair.rows()),
     )
     .unwrap()
     .with_canary_inputs((0..24).map(input).collect())
@@ -370,12 +376,16 @@ fn swap_primary_rejects_a_shape_mismatch() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
     let mut pair = DifferentialPair::fabricate(config, mapping, &mut rng).unwrap();
     let w = Matrix::from_fn(4, COLS, |i, j| ((i + j) as f64 * 0.3).cos() * 0.5);
-    pair.program_open_loop(&w, None, &mut rng).unwrap();
+    let (tp, tn) = pair.mapping().weights_to_targets(&w);
+    let protocol = ProgramOptions::default();
+    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
     let wrong_shape = CompiledModel::compile(
         &pair.freeze(),
         &[0, 1, 2, 3],
         &ReadOptions::new(Fidelity::Calibrated),
         Some(&[0.5; 4]),
+        EncodingTable::differential(pair.rows()),
     )
     .unwrap();
     match scheduler.swap_primary(Arc::new(wrong_shape)) {

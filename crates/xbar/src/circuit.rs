@@ -120,7 +120,7 @@ impl NodalAnalysis {
         if !(r_wire.is_finite() && r_wire > 0.0) {
             return Err(XbarError::InvalidParameter {
                 name: "r_wire",
-                requirement: "must be finite and positive (use ideal::compute for 0)",
+                requirement: "must be finite and positive (use Matrix::vecmat for 0)",
             });
         }
         Ok(Self {
@@ -404,7 +404,6 @@ impl NodalAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ideal;
     use proptest::prelude::*;
     use std::cell::RefCell;
     use vortex_linalg::rng::Xoshiro256PlusPlus;
@@ -596,7 +595,7 @@ mod tests {
         let g = Matrix::from_fn(4, 3, |i, j| 1e-5 + (i + j) as f64 * 1e-5);
         let x = [1.0, 0.8, 0.5, 0.2];
         let sol = na.compute(&g, &x).unwrap();
-        let ideal_y = ideal::compute(&g, &x);
+        let ideal_y = g.vecmat(&x);
         for (a, b) in sol.column_currents.iter().zip(&ideal_y) {
             assert!((a - b).abs() / b < 1e-4, "{a} vs {b}");
         }
@@ -606,7 +605,7 @@ mod tests {
     fn wire_resistance_only_reduces_current() {
         let g = Matrix::filled(8, 4, 1e-4); // all LRS — worst case
         let x = vec![1.0; 8];
-        let ideal_y = ideal::compute(&g, &x);
+        let ideal_y = g.vecmat(&x);
         let na = NodalAnalysis::new(8, 4, 10.0).unwrap();
         let sol = na.compute(&g, &x).unwrap();
         for (a, b) in sol.column_currents.iter().zip(&ideal_y) {

@@ -1,13 +1,17 @@
 //! The crossbar array: a grid of memristors with shared wiring.
+//!
+//! A [`Crossbar`] is fabricated here and programmed by
+//! [`program_with_protocol`](crate::program::program_with_protocol), the
+//! crate's one programmer. Reads go through
+//! [`DifferentialPair::read`](crate::pair::DifferentialPair::read) or,
+//! with wire resistance, [`crate::circuit::NodalAnalysis`].
 
 use serde::{Deserialize, Serialize};
 use vortex_device::defects::{DefectMap, DefectModel};
-use vortex_device::pulse::precalculate_pulse_conductance;
 use vortex_device::{DeviceParams, Memristor, VariationModel};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 
-use crate::irdrop::ProgramVoltageMap;
 use crate::{Result, XbarError};
 
 /// Static configuration of a crossbar instance.
@@ -207,97 +211,6 @@ impl Crossbar {
         Matrix::from_fn(self.rows(), self.cols(), |i, j| self.device(i, j).theta())
     }
 
-    /// Ideal (zero-wire-resistance) crossbar read: `y_j = Σ_i x_i·g_ij`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows`.
-    pub fn compute_ideal(&self, x: &[f64]) -> Vec<f64> {
-        crate::ideal::compute(&self.conductances(), x)
-    }
-
-    /// Open-loop programming: for every cell, pre-calculate the pulse from
-    /// the *nominal* model (variation-blind, as OLD must be) and apply it.
-    ///
-    /// `program_irdrop`, when given, degrades each cell's programming
-    /// voltage by the supplied map (see
-    /// [`crate::irdrop::ProgramVoltageMap`]) — the open-loop programmer
-    /// does *not* know about this degradation unless it compensates
-    /// explicitly (see [`crate::program`]).
-    ///
-    /// Switching variation (cycle-to-cycle) jitter is drawn from the
-    /// crossbar's variation model using `rng`.
-    ///
-    /// # Errors
-    ///
-    /// * [`XbarError::ShapeMismatch`] if `targets` is not `rows × cols`.
-    /// * [`XbarError::Device`] if a pulse pre-calculation fails.
-    pub fn program_open_loop(
-        &mut self,
-        targets: &Matrix,
-        program_irdrop: Option<&ProgramVoltageMap>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> Result<()> {
-        if targets.shape() != (self.rows(), self.cols()) {
-            return Err(XbarError::ShapeMismatch {
-                context: "program_open_loop targets",
-                expected: self.rows() * self.cols(),
-                actual: targets.rows() * targets.cols(),
-            });
-        }
-        let params = self.config.device;
-        let variation = self.config.variation;
-        for i in 0..self.rows() {
-            for j in 0..self.cols() {
-                // Reset then SET to target: deterministic two-step
-                // programming from a known state, as pre-testing assumes.
-                let dev = self.device_mut(i, j);
-                dev.reset_to_hrs();
-                let g_target = targets[(i, j)];
-                let pulse = precalculate_pulse_conductance(&params, params.g_off(), g_target)?;
-                let pulse = match program_irdrop {
-                    Some(map) => pulse.scaled_voltage(map.factor(i, j)),
-                    None => pulse,
-                };
-                let eps = variation.sample_switching(rng);
-                let dev = self.device_mut(i, j);
-                if eps == 0.0 {
-                    dev.apply_pulse(&pulse);
-                } else {
-                    dev.apply_pulse_with_jitter(&pulse, eps);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Forces every device's *nominal* state to realize `targets` exactly
-    /// (before variation). This emulates a perfectly converged close-loop
-    /// programmer in the absence of sensing limits, and is also the
-    /// fast path used when programming physics is not under study.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XbarError::ShapeMismatch`] if `targets` is not
-    /// `rows × cols`.
-    pub fn force_nominal_conductances(&mut self, targets: &Matrix) -> Result<()> {
-        if targets.shape() != (self.rows(), self.cols()) {
-            return Err(XbarError::ShapeMismatch {
-                context: "force_nominal_conductances targets",
-                expected: self.rows() * self.cols(),
-                actual: targets.rows() * targets.cols(),
-            });
-        }
-        let params = self.config.device;
-        for i in 0..self.rows() {
-            for j in 0..self.cols() {
-                let w = params.w_from_conductance(targets[(i, j)]);
-                self.device_mut(i, j).force_state(w);
-            }
-        }
-        Ok(())
-    }
-
     /// Resets every device to HRS.
     pub fn reset_all(&mut self) {
         for d in &mut self.devices {
@@ -309,6 +222,7 @@ impl Crossbar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{program_with_protocol, ProgramOptions};
 
     fn rng() -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(11)
@@ -352,87 +266,18 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_programming_on_ideal_device_hits_targets() {
-        let mut r = rng();
-        let mut xbar = Crossbar::ideal(3, 3, DeviceParams::default());
-        let targets = Matrix::from_fn(3, 3, |i, j| 2e-6 + (i * 3 + j) as f64 * 1e-5);
-        xbar.program_open_loop(&targets, None, &mut r).unwrap();
-        let g = xbar.conductances();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(
-                    (g[(i, j)] - targets[(i, j)]).abs() / targets[(i, j)] < 1e-2,
-                    "cell ({i},{j}): {} vs {}",
-                    g[(i, j)],
-                    targets[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn open_loop_programming_misses_under_variation() {
-        let mut r = rng();
-        let mut xbar = Crossbar::new(config(10, 10, 0.6), &mut r).unwrap();
-        let targets = Matrix::filled(10, 10, 5e-5);
-        xbar.program_open_loop(&targets, None, &mut r).unwrap();
-        let g = xbar.conductances();
-        // Realized conductance should equal target·e^θ per cell.
-        for i in 0..10 {
-            for j in 0..10 {
-                let expected = 5e-5 * xbar.device(i, j).theta().exp();
-                assert!(
-                    (g[(i, j)] - expected).abs() / expected < 1e-2,
-                    "cell ({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn force_nominal_then_variation_multiplies() {
-        let mut r = rng();
-        let mut xbar = Crossbar::new(config(4, 4, 0.4), &mut r).unwrap();
-        let targets = Matrix::filled(4, 4, 2e-5);
-        xbar.force_nominal_conductances(&targets).unwrap();
-        for i in 0..4 {
-            for j in 0..4 {
-                let expected = 2e-5 * xbar.device(i, j).theta().exp();
-                let got = xbar.device(i, j).conductance();
-                assert!((got - expected).abs() / expected < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn shape_mismatch_is_reported() {
-        let mut r = rng();
-        let mut xbar = Crossbar::ideal(3, 3, DeviceParams::default());
-        let bad = Matrix::filled(2, 3, 1e-5);
-        assert!(matches!(
-            xbar.program_open_loop(&bad, None, &mut r),
-            Err(XbarError::ShapeMismatch { .. })
-        ));
-        assert!(xbar.force_nominal_conductances(&bad).is_err());
-    }
-
-    #[test]
-    fn compute_ideal_is_conductance_weighted_sum() {
-        let mut r = rng();
-        let mut xbar = Crossbar::ideal(2, 2, DeviceParams::default());
-        let targets = Matrix::from_rows(&[vec![1e-5, 2e-5], vec![3e-5, 4e-5]]);
-        xbar.program_open_loop(&targets, None, &mut r).unwrap();
-        let y = xbar.compute_ideal(&[1.0, 0.5]);
-        assert!((y[0] - (1e-5 + 0.5 * 3e-5)).abs() < 1e-7);
-        assert!((y[1] - (2e-5 + 0.5 * 4e-5)).abs() < 1e-7);
-    }
-
-    #[test]
     fn reset_all_returns_to_hrs() {
         let mut r = rng();
         let mut xbar = Crossbar::ideal(3, 3, DeviceParams::default());
         let targets = Matrix::filled(3, 3, 9e-5);
-        xbar.program_open_loop(&targets, None, &mut r).unwrap();
+        program_with_protocol(
+            &mut xbar,
+            &targets,
+            None,
+            &ProgramOptions::default(),
+            &mut r,
+        )
+        .unwrap();
         xbar.reset_all();
         let g_off = DeviceParams::default().g_off();
         for i in 0..3 {

@@ -4,15 +4,17 @@
 //! the training algorithms ([`vortex_core`](https://docs.rs/vortex-core)):
 //!
 //! * [`crossbar::Crossbar`] — an `m × n` array of [`vortex_device::Memristor`]
-//!   with per-device variation realizations and defects.
-//! * [`ideal`] — the ideal analog vector–matrix multiply `y = xᵀ·G`.
+//!   with per-device variation realizations and defects. With perfect
+//!   wires its read is the analog vector–matrix multiply `y = xᵀ·G`
+//!   ([`vortex_linalg::Matrix::vecmat`] of its conductances).
 //! * [`circuit::NodalAnalysis`] — exact resistive-mesh solve of the array
 //!   including wire resistance (IR-drop), for both compute (read) and
 //!   programming bias conditions.
 //! * [`irdrop`] — fast analytic IR-drop approximations plus the paper's
 //!   β/D decomposition of programming-voltage degradation (§3.2).
-//! * [`program`] — the V/2 half-select open-loop programming protocol with
-//!   optional IR-drop compensation (§2.2.2).
+//! * [`program`] — [`program_with_protocol`](program::program_with_protocol),
+//!   the one programmer: the V/2 half-select open-loop protocol (§2.2.2)
+//!   with optional IR-drop compensation and half-select disturb.
 //! * [`sensing`] — ADC/DAC models (§3.3, §5.2).
 //! * [`pretest`] — AMP's device pre-testing procedure (§4.2.1).
 //! * [`pair`] — differential (positive/negative) crossbar pair mapping of
@@ -29,14 +31,15 @@
 //! use vortex_device::DeviceParams;
 //! use vortex_linalg::Matrix;
 //! use vortex_xbar::crossbar::Crossbar;
+//! use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 //! use vortex_linalg::rng::Xoshiro256PlusPlus;
 //!
 //! # fn main() -> Result<(), vortex_xbar::XbarError> {
 //! let mut rng = Xoshiro256PlusPlus::seed_from_u64(7);
 //! let mut xbar = Crossbar::ideal(4, 3, DeviceParams::default());
 //! let targets = Matrix::filled(4, 3, 5e-5); // 20 kΩ everywhere
-//! xbar.program_open_loop(&targets, None, &mut rng)?;
-//! let y = xbar.compute_ideal(&[1.0, 1.0, 1.0, 1.0]);
+//! program_with_protocol(&mut xbar, &targets, None, &ProgramOptions::default(), &mut rng)?;
+//! let y = xbar.conductances().vecmat(&[1.0, 1.0, 1.0, 1.0]);
 //! assert!((y[0] - 4.0 * 5e-5).abs() < 1e-6);
 //! # Ok(())
 //! # }
@@ -48,7 +51,6 @@ pub mod circuit;
 pub mod cost;
 pub mod crossbar;
 pub mod encoding;
-pub mod ideal;
 pub mod irdrop;
 pub mod pair;
 pub mod pretest;

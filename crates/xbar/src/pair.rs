@@ -14,7 +14,7 @@ use vortex_linalg::Matrix;
 
 use crate::circuit::NodalAnalysis;
 use crate::crossbar::{Crossbar, CrossbarConfig};
-use crate::irdrop::{ComputeAttenuationMap, ProgramVoltageMap};
+use crate::irdrop::ComputeAttenuationMap;
 use crate::{Result, XbarError};
 
 /// Affine weight ↔ conductance-pair transfer.
@@ -287,23 +287,6 @@ impl DifferentialPair {
         &self.mapping
     }
 
-    /// Open-loop programs the pair to realize `weights`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape and device errors.
-    pub fn program_open_loop(
-        &mut self,
-        weights: &Matrix,
-        program_irdrop: Option<&ProgramVoltageMap>,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> Result<()> {
-        let (tp, tn) = self.mapping.weights_to_targets(weights);
-        self.pos.program_open_loop(&tp, program_irdrop, rng)?;
-        self.neg.program_open_loop(&tn, program_irdrop, rng)?;
-        Ok(())
-    }
-
     /// Snapshots the pair's current read-relevant state (conductances,
     /// scale, wire resistance) into an immutable [`FrozenPairState`].
     pub fn freeze(&self) -> FrozenPairState {
@@ -345,8 +328,8 @@ impl DifferentialPair {
         }
         let (ip, in_) = match circuit {
             ReadCircuit::Ideal => (
-                crate::ideal::compute(&self.pos.conductances(), x),
-                crate::ideal::compute(&self.neg.conductances(), x),
+                self.pos.conductances().vecmat(x),
+                self.neg.conductances().vecmat(x),
             ),
             ReadCircuit::Fast { pos, neg } => (
                 pos.compute(&self.pos.conductances(), x),
@@ -369,11 +352,22 @@ impl DifferentialPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{program_with_protocol, ProgramOptions};
     use vortex_device::defects::DefectModel;
     use vortex_device::{DeviceParams, VariationModel};
 
     fn rng() -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(21)
+    }
+
+    /// Programs `w` as the compiler does: both crossbars through the V/2
+    /// protocol, positive first.
+    fn program(pair: &mut DifferentialPair, w: &Matrix) {
+        let (tp, tn) = pair.mapping().weights_to_targets(w);
+        let mut r = rng();
+        let protocol = ProgramOptions::default();
+        program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut r).unwrap();
+        program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut r).unwrap();
     }
 
     fn ideal_pair(rows: usize, cols: usize, w_max: f64) -> DifferentialPair {
@@ -418,7 +412,7 @@ mod tests {
     fn ideal_pair_realizes_weights_exactly() {
         let mut pair = ideal_pair(4, 3, 1.0);
         let w = Matrix::from_fn(4, 3, |i, j| ((i + j) as f64 * 0.37).sin());
-        pair.program_open_loop(&w, None, &mut rng()).unwrap();
+        program(&mut pair, &w);
         let realized = pair.realized_weights();
         for i in 0..4 {
             for j in 0..3 {
@@ -436,7 +430,7 @@ mod tests {
     fn ideal_read_matches_matrix_product() {
         let mut pair = ideal_pair(5, 2, 1.0);
         let w = Matrix::from_fn(5, 2, |i, j| if (i + j) % 2 == 0 { 0.5 } else { -0.5 });
-        pair.program_open_loop(&w, None, &mut rng()).unwrap();
+        program(&mut pair, &w);
         let x = [1.0, 0.0, 1.0, 0.5, 0.25];
         let y = pair.read(&x, &ReadCircuit::Ideal, None).unwrap();
         let expect = w.vecmat(&x);
@@ -459,7 +453,7 @@ mod tests {
         let mapping = WeightMapping::new(&device, 1.0).unwrap();
         let mut pair = DifferentialPair::fabricate(config, mapping, &mut rng()).unwrap();
         let w = Matrix::filled(6, 4, 0.5);
-        pair.program_open_loop(&w, None, &mut rng()).unwrap();
+        program(&mut pair, &w);
         let realized = pair.realized_weights();
         let err = realized.sub(&w).frobenius_norm() / w.frobenius_norm();
         assert!(err > 0.05, "σ=0.6 should visibly distort weights: {err}");
@@ -479,7 +473,7 @@ mod tests {
         let mapping = WeightMapping::new(&device, 1.0).unwrap();
         let mut pair = DifferentialPair::fabricate(config, mapping, &mut rng()).unwrap();
         let w = Matrix::filled(8, 3, 1.0); // all strongly positive → pos xbar all LRS
-        pair.program_open_loop(&w, None, &mut rng()).unwrap();
+        program(&mut pair, &w);
         let x = vec![1.0; 8];
         let ideal = pair.read(&x, &ReadCircuit::Ideal, None).unwrap();
         let exact = pair
@@ -504,7 +498,7 @@ mod tests {
         let mapping = WeightMapping::new(&device, 1.0).unwrap();
         let mut pair = DifferentialPair::fabricate(config, mapping, &mut rng()).unwrap();
         let w = Matrix::from_fn(8, 3, |i, _| if i % 2 == 0 { 0.8 } else { -0.6 });
-        pair.program_open_loop(&w, None, &mut rng()).unwrap();
+        program(&mut pair, &w);
         let reference = vec![0.5; 8];
         let fast = ReadCircuit::fast_for(&pair, &reference).unwrap();
         let exact = ReadCircuit::exact_for(&pair).unwrap();
@@ -523,7 +517,7 @@ mod tests {
     fn adc_quantizes_read() {
         let mut pair = ideal_pair(4, 2, 1.0);
         let w = Matrix::filled(4, 2, 0.5);
-        pair.program_open_loop(&w, None, &mut rng()).unwrap();
+        program(&mut pair, &w);
         let x = [1.0; 4];
         let adc = crate::sensing::Adc::new(3, 1e-3).unwrap(); // very coarse
         let quantized = pair.read(&x, &ReadCircuit::Ideal, Some(&adc)).unwrap();

@@ -1,9 +1,10 @@
-//! The V/2 half-select programming protocol with optional IR-drop
-//! compensation and half-select disturb modeling.
+//! The V/2 half-select open-loop programming protocol (§2.2.2): the one
+//! way a [`Crossbar`] is programmed.
 //!
-//! [`Crossbar::program_open_loop`](crate::crossbar::Crossbar::program_open_loop)
-//! is the plain variation-blind programmer. This module adds the richer
-//! protocol features studied by the paper:
+//! [`program_with_protocol`] bulk-resets the array to HRS, then gives each
+//! cell one SET pulse whose width is pre-calculated from the *nominal*
+//! device model — variation-blind, as OLD and Vortex must be. On top of
+//! that plain write it models the protocol features studied by the paper:
 //!
 //! * **IR-drop compensation** (§3.2, after Liu et al. ICCAD'14): the pulse
 //!   pre-calculation can use an *estimated* degradation map to lengthen
@@ -135,7 +136,8 @@ pub fn program_with_protocol(
 mod tests {
     use super::*;
 
-    use vortex_device::DeviceParams;
+    use crate::crossbar::CrossbarConfig;
+    use vortex_device::{DeviceParams, VariationModel};
 
     fn rng() -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(31)
@@ -166,6 +168,52 @@ mod tests {
         let t = targets(4, 4);
         program_with_protocol(&mut xbar, &t, None, &ProgramOptions::default(), &mut rng()).unwrap();
         assert!(max_rel_err(&xbar, &t) < 1e-2);
+    }
+
+    #[test]
+    fn an_ideal_device_hits_its_targets() {
+        let mut xbar = ideal_xbar(3, 3);
+        let t = Matrix::from_fn(3, 3, |i, j| 2e-6 + (i * 3 + j) as f64 * 1e-5);
+        program_with_protocol(&mut xbar, &t, None, &ProgramOptions::default(), &mut rng()).unwrap();
+        let g = xbar.conductances();
+        for i in 0..3 {
+            for j in 0..3 {
+                assert!(
+                    (g[(i, j)] - t[(i, j)]).abs() / t[(i, j)] < 1e-2,
+                    "cell ({i},{j}): {} vs {}",
+                    g[(i, j)],
+                    t[(i, j)]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn misses_under_variation() {
+        // The pulse is planned on the nominal model, so every cell lands
+        // on its target scaled by its own fabricated deviation: g·e^θ.
+        let config = CrossbarConfig {
+            variation: VariationModel::parametric(0.6).unwrap(),
+            ..CrossbarConfig::ideal(10, 10, DeviceParams::default())
+        };
+        let mut r = rng();
+        let mut xbar = Crossbar::new(config, &mut r).unwrap();
+        let t = Matrix::filled(10, 10, 5e-5);
+        program_with_protocol(&mut xbar, &t, None, &ProgramOptions::default(), &mut r).unwrap();
+        let g = xbar.conductances();
+        for i in 0..10 {
+            for j in 0..10 {
+                let expected = 5e-5 * xbar.device(i, j).theta().exp();
+                assert!(
+                    (g[(i, j)] - expected).abs() / expected < 1e-2,
+                    "cell ({i},{j})"
+                );
+            }
+        }
+        assert!(
+            max_rel_err(&xbar, &t) > 0.1,
+            "σ 0.6 should miss the targets"
+        );
     }
 
     #[test]

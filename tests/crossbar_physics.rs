@@ -7,9 +7,9 @@ use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 use vortex_xbar::circuit::NodalAnalysis;
 use vortex_xbar::crossbar::{Crossbar, CrossbarConfig};
-use vortex_xbar::ideal;
 use vortex_xbar::irdrop::{ComputeAttenuationMap, ProgramVoltageMap};
 use vortex_xbar::pretest::{pretest, PretestConfig};
+use vortex_xbar::program::{program_with_protocol, ProgramOptions};
 use vortex_xbar::sensing::Adc;
 
 fn rng(seed: u64) -> Xoshiro256PlusPlus {
@@ -102,8 +102,14 @@ fn open_loop_error_statistics_match_the_variation_model() {
     let mut r = rng(9);
     let mut xbar = Crossbar::new(config, &mut r).expect("fabricate");
     let targets = Matrix::filled(40, 25, 3e-5);
-    xbar.program_open_loop(&targets, None, &mut r)
-        .expect("program");
+    program_with_protocol(
+        &mut xbar,
+        &targets,
+        None,
+        &ProgramOptions::default(),
+        &mut r,
+    )
+    .expect("program");
     let g = xbar.conductances();
     let logs: Vec<f64> = g.as_slice().iter().map(|&gi| (gi / 3e-5).ln()).collect();
     let s = vortex_linalg::stats::std_dev(&logs);
@@ -159,7 +165,7 @@ fn device_pulse_roundtrip_through_crossbar_read() {
         let pulse = precalculate_pulse(&params, params.r_off(), target).expect("pulse");
         dev.apply_pulse(&pulse);
         let g = Matrix::filled(1, 1, dev.conductance());
-        let y = ideal::compute(&g, &[1.0]);
+        let y = g.vecmat(&[1.0]);
         assert!(
             (y[0] - 1.0 / target).abs() / (1.0 / target) < 2e-2,
             "target {target}: read {}",
@@ -172,7 +178,6 @@ fn device_pulse_roundtrip_through_crossbar_read() {
 fn half_select_scheme_preserves_neighbours() {
     // Programming one device must leave the rest of an ideal crossbar
     // essentially untouched even when disturb is modeled.
-    use vortex_xbar::program::{program_with_protocol, ProgramOptions};
     let mut xbar = Crossbar::ideal(8, 8, DeviceParams::default());
     let mut r = rng(11);
     let targets = Matrix::from_fn(8, 8, |i, j| 2e-6 + 1.2e-5 * ((i * 8 + j) % 8) as f64);
