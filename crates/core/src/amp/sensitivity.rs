@@ -42,23 +42,6 @@ pub fn row_sensitivity(weights: &Matrix, mean_abs_input: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Per-cell sensitivity `|x̄_i · w_ij|` (Eq. (11) element-wise), exposed
-/// for analyses and benches.
-///
-/// # Panics
-///
-/// Panics if `mean_abs_input.len() != weights.rows()`.
-pub fn cell_sensitivity(weights: &Matrix, mean_abs_input: &[f64]) -> Matrix {
-    assert_eq!(
-        mean_abs_input.len(),
-        weights.rows(),
-        "sensitivity: input length mismatch"
-    );
-    Matrix::from_fn(weights.rows(), weights.cols(), |i, j| {
-        (mean_abs_input[i] * weights[(i, j)]).abs()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,14 +66,6 @@ mod tests {
         let s = row_sensitivity(&w, &xbar);
         assert!(s[0] > s[1]);
         assert_eq!(s[2], 0.0);
-    }
-
-    #[test]
-    fn cell_sensitivity_is_abs_product() {
-        let w = Matrix::from_rows(&[vec![2.0, -3.0]]);
-        let s = cell_sensitivity(&w, &[0.5]);
-        assert_eq!(s[(0, 0)], 1.0);
-        assert_eq!(s[(0, 1)], 1.5);
     }
 
     #[test]

@@ -37,19 +37,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Convenience: appends a row from display values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header.
-    pub fn add_display_row<I>(&mut self, cells: I)
-    where
-        I: IntoIterator,
-        I::Item: std::fmt::Display,
-    {
-        self.add_row(cells.into_iter().map(|c| c.to_string()));
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -201,15 +188,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pct(0.8491), "84.9%");
         assert_eq!(fixed(1.23456, 2), "1.23");
-    }
-
-    #[test]
-    fn display_row() {
-        let mut t = Table::new("d", &["a", "b"]);
-        t.add_display_row([&1.5_f64 as &dyn std::fmt::Display, &"x"]);
-        t.add_display_row([1, 2]);
-        assert!(t.render().contains("1.5"));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

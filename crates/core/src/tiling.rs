@@ -22,10 +22,10 @@
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
-use vortex_linalg::Matrix;
-use vortex_nn::classifier::accuracy_with;
+use vortex_linalg::{vector, Matrix};
 use vortex_nn::dataset::Dataset;
 use vortex_nn::executor::Parallelism;
+use vortex_nn::metrics::accuracy_of_predictions;
 
 use crate::pipeline::{evaluate_draws, HardwareEnv, HardwareEvaluation, ModelCompiler};
 use crate::vortex::{compile_chip, AmpChipOptions};
@@ -161,28 +161,25 @@ impl TiledEvaluator {
             })
             .collect::<Result<Vec<_>>>()?;
 
-        let mut failed = false;
-        let acc = accuracy_with(test, |x| {
-            let mut y = vec![0.0; cols];
-            for (tile, model) in tiles.iter().zip(&models) {
-                match model.scores(&x[tile.range.clone()]) {
-                    Ok(part) => {
-                        for (acc_j, p) in y.iter_mut().zip(&part) {
-                            *acc_j += p;
+        let predictions = (0..test.len())
+            .map(|i| {
+                let x = test.image(i);
+                let mut y = vec![0.0; cols];
+                for (tile, model) in tiles.iter().zip(&models) {
+                    let part = model.scores(&x[tile.range.clone()]).map_err(|_| {
+                        CoreError::InvalidParameter {
+                            name: "readout",
+                            requirement: "tiled hardware read failed during scoring",
                         }
+                    })?;
+                    for (acc_j, p) in y.iter_mut().zip(&part) {
+                        *acc_j += p;
                     }
-                    Err(_) => failed = true,
                 }
-            }
-            y
-        });
-        if failed {
-            return Err(CoreError::InvalidParameter {
-                name: "readout",
-                requirement: "tiled hardware read failed during scoring",
-            });
-        }
-        Ok(acc)
+                Ok(vector::argmax(&y).unwrap_or(0) as u8)
+            })
+            .collect::<Result<Vec<u8>>>()?;
+        Ok(accuracy_of_predictions(&predictions, test))
     }
 }
 

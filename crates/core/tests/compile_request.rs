@@ -9,6 +9,7 @@ use vortex_core::pipeline::HardwareEnv;
 use vortex_core::vortex::{fabricate_pair, program_mapped};
 use vortex_core::CoreError;
 use vortex_device::cell::CellKind;
+use vortex_device::variation::VariationModel;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 use vortex_nn::dataset::{Dataset, DatasetConfig, SynthDigits};
@@ -68,32 +69,43 @@ fn request_and_phase_functions_agree_byte_for_byte() {
 /// `weights_to_targets`, then the V/2 protocol on the positive and the
 /// negative crossbar, frozen by `CompiledModel::compile` — is the chip
 /// `ModelCompiler::program` + `freeze` builds from the same seed, byte for
-/// byte.
+/// byte. The switching-noise env draws from the stream while programming,
+/// so it also pins the order: positive crossbar first, then negative.
 #[test]
 fn test_fixture_route_equals_the_compiler() {
     let (_, w) = small_setup();
     let mapping = RowMapping::identity(w.rows());
-    let env = HardwareEnv::with_sigma(0.3).unwrap();
-    let compiler = env.compiler();
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(23);
-    let pair = compiler.program(&w, &mapping, &mut rng).unwrap();
-    let via_compiler = compiler.freeze(&pair, &mapping).unwrap();
+    let parametric = HardwareEnv::with_sigma(0.3).unwrap();
+    let switching = HardwareEnv {
+        variation: VariationModel::new(0.3, 0.05).unwrap(),
+        ..parametric
+    };
+    for (name, env) in [("parametric", parametric), ("switching", switching)] {
+        let compiler = env.compiler();
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(23);
+        let pair = compiler.program(&w, &mapping, &mut rng).unwrap();
+        let via_compiler = compiler.freeze(&pair, &mapping).unwrap();
 
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(23);
-    let mut pair = fabricate_pair(w.cols(), w.rows(), &env, &mut rng).unwrap();
-    let (tp, tn) = pair.mapping().weights_to_targets(&w);
-    let protocol = ProgramOptions::default();
-    program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
-    program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
-    let via_fixture = CompiledModel::compile(
-        &pair.freeze(),
-        mapping.assignment(),
-        &env.read_options(pair.rows()).unwrap(),
-        None,
-        EncodingTable::differential(pair.rows()),
-    )
-    .unwrap();
-    assert_eq!(via_fixture.to_bytes(), via_compiler.to_bytes());
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(23);
+        let mut pair = fabricate_pair(w.cols(), w.rows(), &env, &mut rng).unwrap();
+        let (tp, tn) = pair.mapping().weights_to_targets(&w);
+        let protocol = ProgramOptions::default();
+        program_with_protocol(pair.pos_mut(), &tp, None, &protocol, &mut rng).unwrap();
+        program_with_protocol(pair.neg_mut(), &tn, None, &protocol, &mut rng).unwrap();
+        let via_fixture = CompiledModel::compile(
+            &pair.freeze(),
+            mapping.assignment(),
+            &env.read_options(pair.rows()).unwrap(),
+            None,
+            EncodingTable::differential(pair.rows()),
+        )
+        .unwrap();
+        assert_eq!(
+            via_fixture.to_bytes(),
+            via_compiler.to_bytes(),
+            "{name}: the fixture route and the compiler built different chips"
+        );
+    }
 }
 
 #[test]

@@ -83,40 +83,6 @@ impl DeviceParams {
         })
     }
 
-    /// Sets the switching threshold voltage (below which nothing moves).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] unless
-    /// `0 < v_threshold < v_program`.
-    pub fn with_threshold(mut self, v_threshold: f64) -> Result<Self> {
-        if !(v_threshold > 0.0 && v_threshold < self.v_program) {
-            return Err(DeviceError::InvalidParameter {
-                name: "v_threshold",
-                requirement: "must satisfy 0 < v_threshold < v_program",
-            });
-        }
-        self.v_threshold = v_threshold;
-        Ok(self)
-    }
-
-    /// Sets the nominal full-select programming voltage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] unless
-    /// `v_program > v_threshold`.
-    pub fn with_program_voltage(mut self, v_program: f64) -> Result<Self> {
-        if !(v_program.is_finite() && v_program > self.v_threshold) {
-            return Err(DeviceError::InvalidParameter {
-                name: "v_program",
-                requirement: "must be finite and exceed v_threshold",
-            });
-        }
-        self.v_program = v_program;
-        Ok(self)
-    }
-
     /// On-state (LRS) resistance in ohms.
     pub fn r_on(&self) -> f64 {
         self.r_on
@@ -204,10 +170,6 @@ mod tests {
         assert!(DeviceParams::new(1e6, 1e4).is_err());
         assert!(DeviceParams::new(1e4, 1e4).is_err());
         assert!(DeviceParams::new(1e4, 1e6).is_ok());
-        assert!(DeviceParams::default().with_threshold(0.0).is_err());
-        assert!(DeviceParams::default().with_threshold(5.0).is_err());
-        assert!(DeviceParams::default().with_program_voltage(1.0).is_err());
-        assert!(DeviceParams::default().with_program_voltage(3.2).is_ok());
     }
 
     #[test]

@@ -67,15 +67,6 @@ impl Pulse {
     pub fn is_none(&self) -> bool {
         self.width_s == 0.0 || self.voltage == 0.0
     }
-
-    /// A copy with the voltage scaled by `factor` (e.g. IR-drop
-    /// degradation of the voltage actually reaching a device).
-    pub fn scaled_voltage(&self, factor: f64) -> Self {
-        Self {
-            voltage: self.voltage * factor,
-            width_s: self.width_s,
-        }
-    }
 }
 
 /// Pre-calculates the pulse that takes a device from `r_from` to `r_to`
@@ -167,14 +158,6 @@ mod tests {
         assert!(Pulse::new(f64::NAN, 1.0).is_err());
         assert!(Pulse::new(2.8, 0.0).unwrap().is_none());
         assert!(Pulse::none().is_none());
-    }
-
-    #[test]
-    fn scaled_voltage_keeps_width() {
-        let pl = Pulse::new(2.8, 1e-6).unwrap();
-        let sc = pl.scaled_voltage(0.9);
-        assert!((sc.voltage() - 2.52).abs() < 1e-12);
-        assert_eq!(sc.width_s(), 1e-6);
     }
 
     #[test]

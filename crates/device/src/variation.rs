@@ -136,29 +136,6 @@ impl VariationModel {
     pub fn apply(g_nominal: f64, theta: f64) -> f64 {
         g_nominal * theta.exp()
     }
-
-    /// Expected multiplicative error magnitude `E[|1 − e^θ|]`, estimated by
-    /// quadrature — used in reporting and in AMP's expected-SWV analytics.
-    pub fn mean_abs_multiplicative_error(&self) -> f64 {
-        if self.sigma == 0.0 {
-            return 0.0;
-        }
-        // Simple 2001-point trapezoid over ±6σ.
-        let n = 2000;
-        let lo = -6.0 * self.sigma;
-        let hi = 6.0 * self.sigma;
-        let h = (hi - lo) / n as f64;
-        let pdf = |t: f64| {
-            (-t * t / (2.0 * self.sigma * self.sigma)).exp()
-                / (self.sigma * (2.0 * std::f64::consts::PI).sqrt())
-        };
-        let f = |t: f64| (1.0 - t.exp()).abs() * pdf(t);
-        let mut acc = 0.5 * (f(lo) + f(hi));
-        for i in 1..n {
-            acc += f(lo + i as f64 * h);
-        }
-        acc * h
-    }
 }
 
 #[cfg(test)]
@@ -224,22 +201,6 @@ mod tests {
         let logs: Vec<f64> = gs.iter().map(|g| (g / g_on).ln()).collect();
         assert!(stats::mean(&logs).abs() < 0.01);
         assert!((stats::std_dev(&logs) - 0.4).abs() < 0.01);
-    }
-
-    #[test]
-    fn mean_abs_error_grows_with_sigma() {
-        let e0 = VariationModel::none().mean_abs_multiplicative_error();
-        let e1 = VariationModel::parametric(0.2)
-            .unwrap()
-            .mean_abs_multiplicative_error();
-        let e2 = VariationModel::parametric(0.8)
-            .unwrap()
-            .mean_abs_multiplicative_error();
-        assert_eq!(e0, 0.0);
-        assert!(e1 > 0.0 && e2 > e1);
-        // Small-σ limit: E[|1 − e^θ|] ≈ E[|θ|] = σ·sqrt(2/π).
-        let expect = 0.2 * (2.0 / std::f64::consts::PI).sqrt();
-        assert!((e1 - expect).abs() / expect < 0.05, "e1 {e1} vs {expect}");
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub struct LuFactorization {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (for the determinant).
-    perm_sign: f64,
 }
 
 impl LuFactorization {
@@ -50,7 +48,6 @@ impl LuFactorization {
         }
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: largest |entry| in column k at or below row k.
@@ -73,7 +70,6 @@ impl LuFactorization {
                     lu[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -85,11 +81,7 @@ impl LuFactorization {
                 }
             }
         }
-        Ok(Self {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(Self { lu, perm })
     }
 
     /// Solves `A·x = b`.
@@ -126,35 +118,6 @@ impl LuFactorization {
             x[i] = s / self.lu[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Determinant of the factorized matrix.
-    pub fn determinant(&self) -> f64 {
-        let n = self.lu.rows();
-        let mut det = self.perm_sign;
-        for i in 0..n {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
-
-    /// Inverse of the factorized matrix (column-by-column solve).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Self::solve`] (cannot occur for a valid
-    /// factorization).
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.lu.rows();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            inv.set_col(j, &col);
-            e[j] = 0.0;
-        }
-        Ok(inv)
     }
 }
 
@@ -216,28 +179,20 @@ mod tests {
     }
 
     #[test]
-    fn determinant_matches_known() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let lu = LuFactorization::compute(&a).unwrap();
-        assert!((lu.determinant() + 2.0).abs() < 1e-12);
-        let i = Matrix::identity(5);
-        assert!((LuFactorization::compute(&i).unwrap().determinant() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
+    fn one_factorization_solves_every_unit_rhs() {
         let a = Matrix::from_rows(&[
             vec![4.0, -2.0, 1.0],
             vec![3.0, 6.0, -4.0],
             vec![2.0, 1.0, 8.0],
         ]);
-        let inv = LuFactorization::compute(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv);
-        for i in 0..3 {
-            for j in 0..3 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-10);
-            }
+        // One factorization, reused for every unit right-hand side: the
+        // solutions are the columns of A⁻¹.
+        let lu = LuFactorization::compute(&a).unwrap();
+        for j in 0..3 {
+            let mut e = vec![0.0; 3];
+            e[j] = 1.0;
+            let col = lu.solve(&e).unwrap();
+            assert!(residual(&a, &col, &e) < 1e-10);
         }
     }
 

@@ -205,28 +205,6 @@ impl Matrix {
         y
     }
 
-    /// Matrix product `C = A·B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
-        let mut c = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let crow = c.row_mut(i);
-                vector::axpy(aik, brow, crow);
-            }
-        }
-        c
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -354,22 +332,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Vertically stacks `self` on top of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vstack: column mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -445,14 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]));
-    }
-
-    #[test]
     fn vecmat_matches_transpose_matvec() {
         let a = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
         let x = vec![1.0, 0.5, -1.0, 2.0];
@@ -515,15 +469,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]);
         assert_eq!(a.frobenius_norm(), 5.0);
         assert_eq!(a.max_abs(), 4.0);
-    }
-
-    #[test]
-    fn vstack_shapes() {
-        let a = Matrix::filled(2, 3, 1.0);
-        let b = Matrix::filled(1, 3, 2.0);
-        let c = a.vstack(&b);
-        assert_eq!(c.shape(), (3, 3));
-        assert_eq!(c.row(2), &[2.0, 2.0, 2.0]);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! couples to at most two wire neighbours, one device, and itself). CSR
 //! with triplet assembly is all we need.
 
-use crate::{LinalgError, Result};
-
 /// Triplet-based builder for a [`CsrMatrix`].
 ///
 /// Duplicate `(row, col)` entries are summed at build time, which matches
@@ -185,20 +183,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Residual `‖b − A·x‖∞`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn residual_inf(&self, x: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(b.len(), self.rows, "residual: rhs length mismatch");
-        let ax = self.matvec(x);
-        ax.iter()
-            .zip(b)
-            .map(|(u, v)| (u - v).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Converts to a dense [`crate::Matrix`] (testing/small systems only).
     pub fn to_dense(&self) -> crate::Matrix {
         let mut m = crate::Matrix::zeros(self.rows, self.cols);
@@ -209,70 +193,6 @@ impl CsrMatrix {
         }
         m
     }
-
-    /// Checks (weak row-wise) diagonal dominance, which the nodal
-    /// conductance matrices satisfy.
-    pub fn is_diagonally_dominant(&self) -> bool {
-        (0..self.rows).all(|i| {
-            let mut diag = 0.0;
-            let mut off = 0.0;
-            for (j, v) in self.row_iter(i) {
-                if j == i {
-                    diag = v.abs();
-                } else {
-                    off += v.abs();
-                }
-            }
-            diag >= off - 1e-12
-        })
-    }
-}
-
-/// Validation helper: builds the CSR from explicit parts.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::InvalidParameter`] if the CSR invariants are
-/// violated (row pointer monotonicity/length, column bounds).
-pub fn from_raw_parts(
-    rows: usize,
-    cols: usize,
-    values: Vec<f64>,
-    col_idx: Vec<usize>,
-    row_ptr: Vec<usize>,
-) -> Result<CsrMatrix> {
-    if row_ptr.len() != rows + 1 || row_ptr[0] != 0 || *row_ptr.last().unwrap_or(&0) != values.len()
-    {
-        return Err(LinalgError::InvalidParameter {
-            name: "row_ptr",
-            requirement: "must have rows+1 entries, start at 0, end at nnz",
-        });
-    }
-    if values.len() != col_idx.len() {
-        return Err(LinalgError::InvalidParameter {
-            name: "col_idx",
-            requirement: "must have the same length as values",
-        });
-    }
-    if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-        return Err(LinalgError::InvalidParameter {
-            name: "row_ptr",
-            requirement: "must be non-decreasing",
-        });
-    }
-    if col_idx.iter().any(|&c| c >= cols) {
-        return Err(LinalgError::InvalidParameter {
-            name: "col_idx",
-            requirement: "all column indices must be < cols",
-        });
-    }
-    Ok(CsrMatrix {
-        rows,
-        cols,
-        values,
-        col_idx,
-        row_ptr,
-    })
 }
 
 #[cfg(test)]
@@ -335,35 +255,6 @@ mod tests {
     fn diagonal_extraction() {
         let m = sample();
         assert_eq!(m.diagonal(), vec![4.0, 4.0, 4.0]);
-    }
-
-    #[test]
-    fn diagonal_dominance_detection() {
-        assert!(sample().is_diagonally_dominant());
-        let mut b = TripletBuilder::new(2, 2);
-        b.add(0, 0, 1.0);
-        b.add(0, 1, 5.0);
-        b.add(1, 1, 1.0);
-        assert!(!b.build().is_diagonally_dominant());
-    }
-
-    #[test]
-    fn residual_of_exact_solution_is_zero() {
-        let m = sample();
-        let x = vec![1.0, 1.0, 1.0];
-        let b = m.matvec(&x);
-        assert!(m.residual_inf(&x, &b) < 1e-15);
-    }
-
-    #[test]
-    fn from_raw_parts_validation() {
-        assert!(from_raw_parts(2, 2, vec![1.0], vec![0], vec![0, 1, 1]).is_ok());
-        // bad row_ptr end
-        assert!(from_raw_parts(2, 2, vec![1.0], vec![0], vec![0, 0, 0]).is_err());
-        // column out of range
-        assert!(from_raw_parts(2, 2, vec![1.0], vec![5], vec![0, 1, 1]).is_err());
-        // decreasing row_ptr
-        assert!(from_raw_parts(2, 2, vec![1.0, 1.0], vec![0, 1], vec![0, 2, 2]).is_ok());
     }
 
     #[test]

@@ -22,14 +22,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Standard error of the mean.
-pub fn std_error(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    std_dev(xs) / (xs.len() as f64).sqrt()
-}
-
 /// Quantile via linear interpolation between order statistics
 /// (the "type 7" estimator used by NumPy and R).
 ///
@@ -184,7 +176,7 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[3.0]), 0.0);
-        assert_eq!(std_error(&[]), 0.0);
+        assert_eq!(std_dev(&[]), 0.0);
         assert!(quantile(&[], 0.5).is_nan());
     }
 

@@ -98,23 +98,6 @@ pub fn argmax(x: &[f64]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum element; ties resolve to the lowest index.
-///
-/// Returns `None` for an empty slice or if every element is NaN.
-pub fn argmin(x: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if bv <= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Linear interpolation between `a` and `b` at parameter `t ∈ [0,1]`.
 pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + (b - a) * t
@@ -183,13 +166,6 @@ mod tests {
         assert_eq!(argmax(&[f64::NAN, 1.0]), Some(1));
         assert_eq!(argmax(&[f64::NAN]), None);
         assert_eq!(argmax(&[]), None);
-    }
-
-    #[test]
-    fn argmin_basic() {
-        assert_eq!(argmin(&[2.0, -1.0, 5.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 1.0]), Some(0));
-        assert_eq!(argmin(&[]), None);
     }
 
     #[test]

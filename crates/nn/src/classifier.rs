@@ -215,29 +215,6 @@ unsafe fn score_blocks_avx2(
     score_blocks(packed, classes, data, out);
 }
 
-/// Classifies every sample of `data` through an arbitrary score function
-/// (e.g. a programmed crossbar readout) and returns the accuracy.
-///
-/// The score function receives the pixel vector and must return one score
-/// per class.
-pub fn accuracy_with<F>(data: &Dataset, mut score_fn: F) -> f64
-where
-    F: FnMut(&[f64]) -> Vec<f64>,
-{
-    if data.is_empty() {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    for i in 0..data.len() {
-        let scores = score_fn(data.image(i));
-        let pred = vector::argmax(&scores).unwrap_or(0) as u8;
-        if pred == data.label(i) {
-            correct += 1;
-        }
-    }
-    correct as f64 / data.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,26 +240,15 @@ mod tests {
     #[test]
     fn accuracy_of_perfect_oracle() {
         let data = SynthDigits::generate(&DatasetConfig::tiny(), 17).unwrap();
-        // Oracle score function peeks at the label through a captured map.
-        let labels: Vec<u8> = data.labels().to_vec();
-        let mut i = 0usize;
-        let acc = accuracy_with(&data, |_| {
-            let mut s = vec![0.0; 10];
-            s[labels[i] as usize] = 1.0;
-            i += 1;
-            s
-        });
+        // An oracle predicts every label.
+        let acc = accuracy_of_predictions(data.labels(), &data);
         assert_eq!(acc, 1.0);
     }
 
     #[test]
     fn accuracy_of_constant_classifier_is_class_rate() {
         let data = SynthDigits::generate(&DatasetConfig::tiny(), 18).unwrap();
-        let acc = accuracy_with(&data, |_| {
-            let mut s = vec![0.0; 10];
-            s[3] = 1.0;
-            s
-        });
+        let acc = accuracy_of_predictions(&vec![3; data.len()], &data);
         assert!((acc - 0.1).abs() < 1e-9); // balanced classes
     }
 

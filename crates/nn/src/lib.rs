@@ -14,7 +14,7 @@
 //! * [`classifier::LinearClassifier`] — the `y = x·W`, argmax model.
 //! * [`gdt`] — hinge-loss (sub)gradient-descent training (the paper's GDT,
 //!   Eq. (3)).
-//! * [`metrics`] — training rate, test rate, confusion matrices.
+//! * [`metrics`] — training rate and test rate.
 //! * [`executor`] — [`run_trials`](executor::run_trials), the one
 //!   Monte-Carlo draw loop in the workspace (pre-split seed streams,
 //!   ordered reassembly; bit-exact across thread counts).

@@ -427,13 +427,33 @@ fn second_gpos_section_is_malformed() {
 /// Rewrites a v4 model artifact as the v2 writer would have written it:
 /// no `ENCT` section, version 2, resealed.
 fn as_version_two(mut bytes: Vec<u8>) -> Vec<u8> {
-    let tag_at = enct_tag_at(&bytes);
-    let len = u64::from_le_bytes(bytes[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
-    bytes.drain(tag_at..tag_at + SECTION_HEADER + len);
-    bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
+    excise_section(&mut bytes, b"ENCT");
+    restamp(bytes, 2)
+}
+
+/// Rewrites a v4 model artifact as the v1 writer would have written it:
+/// no `CNRY` and no `ENCT` section, version 1, resealed.
+fn as_version_one(mut bytes: Vec<u8>) -> Vec<u8> {
+    excise_section(&mut bytes, b"ENCT");
+    excise_section(&mut bytes, b"CNRY");
+    restamp(bytes, 1)
+}
+
+/// Removes the section tagged `tag` and uncounts it; the CRC goes stale.
+fn excise_section(bytes: &mut Vec<u8>, tag: &[u8; 4]) {
+    let (start, payload_at, len) = section_spans(bytes)
+        .into_iter()
+        .find(|&(start, _, _)| &bytes[start..start + 4] == tag)
+        .expect("section present");
+    bytes.drain(start..payload_at + len);
     let count_at = MAGIC.len() + 4;
     let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap());
     bytes[count_at..count_at + 4].copy_from_slice(&(count - 1).to_le_bytes());
+}
+
+/// Stamps `version` into the header and reseals the CRC.
+fn restamp(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
+    bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
     reseal_crc(&mut bytes);
     bytes
 }
@@ -599,24 +619,30 @@ fn mutate_and_reseal(valid: &[u8], edit: u8, pick: usize, value: u64) -> Vec<u8>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A resealed single edit to a model artifact (v4, or v2 without an
-    /// encoding table) or a checkpoint either decodes or fails with a
-    /// typed error; it never panics. Truncations and inflated counts
-    /// always fail, duplicates as `duplicate section`.
+    /// A resealed single edit to a model artifact (v4, v3, v2 without an
+    /// encoding table, v1 without canaries either, or an Exact-fidelity
+    /// v4) or a checkpoint either decodes or fails with a typed error; it
+    /// never panics. Truncations and inflated counts always fail,
+    /// duplicates as `duplicate section`.
     #[test]
-    fn resealed_mutations_decode_or_fail_typed(input in 0u8..3,
+    fn resealed_mutations_decode_or_fail_typed(input in 0u8..6,
                                                 edit in 0u8..6,
                                                 pick in 0usize..16,
                                                 value in proptest::num::u64::ANY) {
-        let model = || {
-            compiled(6, 3, 3.0, Fidelity::Calibrated, 13)
+        let model = |fidelity| {
+            compiled(6, 3, 3.0, fidelity, 13)
                 .with_canary_inputs(probe_inputs(6))
                 .unwrap()
                 .to_bytes()
         };
         let valid = match input {
-            0 => model(),
-            1 => as_version_two(model()),
+            0 => model(Fidelity::Calibrated),
+            1 => as_version_two(model(Fidelity::Calibrated)),
+            3 => model(Fidelity::Exact),
+            4 => as_version_one(model(Fidelity::Calibrated)),
+            // v4 only added a checkpoint section: a v3 model artifact
+            // has the same sections.
+            5 => restamp(model(Fidelity::Calibrated), 3),
             _ => vortex_runtime::TrainingCheckpoint {
                 weights: Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64 * 0.25 - 1.0),
                 epoch: 5,
@@ -628,12 +654,15 @@ proptest! {
             }
             .to_bytes(),
         };
-        let bytes = mutate_and_reseal(&valid, edit, pick, value);
-        let outcome = if input == 2 {
-            vortex_runtime::TrainingCheckpoint::from_bytes(&bytes).map(drop)
-        } else {
-            CompiledModel::from_bytes(&bytes).map(drop)
+        let decode = |bytes: &[u8]| {
+            if input == 2 {
+                vortex_runtime::TrainingCheckpoint::from_bytes(bytes).map(drop)
+            } else {
+                CompiledModel::from_bytes(bytes).map(drop)
+            }
         };
+        prop_assert!(decode(&valid).is_ok(), "input {} does not decode unmutated", input);
+        let outcome = decode(&mutate_and_reseal(&valid, edit, pick, value));
         match edit {
             0 | 3 => prop_assert!(outcome.is_err(), "edit {} decoded", edit),
             1 => prop_assert_eq!(

@@ -3,12 +3,14 @@
 //! A [`ChaosPlan`] is a frozen schedule of faults drawn once from a
 //! seeded generator — *which* batches panic their worker, *which*
 //! batches run slow, *which* devices get stuck, how far the conductances
-//! have drifted, and which artifact bytes flip in transit. The plan is a
-//! pure value: the scheduler consults it on the dispatch path
-//! ([`ChaosPlan::should_panic`] / [`ChaosPlan::slow_down`]), while the
-//! model-level faults ([`ChaosPlan::cell_faults`], [`ChaosPlan::drift`],
-//! [`ChaosPlan::corrupt_artifact`]) are applied by the test or bench
-//! harness before serving starts.
+//! have drifted, and which training mini-epochs die and checkpoint bits
+//! flip. The plan is a pure value: the scheduler consults it on the
+//! dispatch path ([`ChaosPlan::should_panic`] / [`ChaosPlan::slow_down`]),
+//! the model-level faults ([`ChaosPlan::cell_faults`],
+//! [`ChaosPlan::drift`]) are applied by the test or bench harness before
+//! serving starts, and the `vortex-train` supervisor consults the
+//! training faults ([`ChaosPlan::should_kill_training`],
+//! [`ChaosPlan::corrupt_checkpoint`]).
 //!
 //! Because every draw comes from `Xoshiro256PlusPlus` seeded with
 //! [`ChaosConfig::seed`], the same configuration always produces the
@@ -57,9 +59,6 @@ pub struct ChaosConfig {
     pub stuck_conductance: f64,
     /// Retention-drift age applied to the model (seconds; 0 disables).
     pub drift_t_s: f64,
-    /// Number of artifact bits flipped by
-    /// [`ChaosPlan::corrupt_artifact`].
-    pub bit_flips: usize,
     /// Number of training mini-epochs whose job is killed mid-flight
     /// (consulted by the `vortex-train` supervisor).
     pub train_kills: usize,
@@ -85,7 +84,6 @@ impl ChaosConfig {
             stuck_cells: 0,
             stuck_conductance: 0.0,
             drift_t_s: 0.0,
-            bit_flips: 0,
             train_kills: 0,
             train_horizon_epochs: 32,
             checkpoint_bit_flips: 0,
@@ -124,12 +122,6 @@ impl ChaosConfig {
         self
     }
 
-    /// This configuration flipping `n` artifact bits.
-    pub fn with_bit_flips(mut self, n: usize) -> Self {
-        self.bit_flips = n;
-        self
-    }
-
     /// This configuration killing `n` training mini-epochs drawn from the
     /// first `horizon` epochs of a job.
     pub fn with_train_kills(mut self, n: usize, horizon: u64) -> Self {
@@ -154,7 +146,6 @@ pub struct ChaosPlan {
     faults: Vec<CellFault>,
     drift_t_s: f64,
     drift_seed: u64,
-    bit_flips: Vec<u64>,
     train_kills: BTreeSet<u64>,
     checkpoint_flips: Vec<u64>,
 }
@@ -170,7 +161,8 @@ impl ChaosPlan {
             panics.insert(rng.next_u64() % horizon);
         }
         let mut slow = BTreeMap::new();
-        while slow.len() < config.slow_batches.min(horizon as usize) {
+        // Only the batches left without a panic can run slow.
+        while slow.len() < config.slow_batches.min(horizon as usize - panics.len()) {
             let seq = rng.next_u64() % horizon;
             // Panicking batches stay panicking; slowdowns land elsewhere.
             if !panics.contains(&seq) {
@@ -193,7 +185,6 @@ impl ChaosPlan {
             });
         }
         let drift_seed = rng.next_u64();
-        let bit_flips = (0..config.bit_flips).map(|_| rng.next_u64()).collect();
         // Training faults are drawn strictly *after* every pre-existing
         // draw: a configuration without them consumes exactly the same
         // stream as older builds, so existing seeds keep their plans bit
@@ -212,7 +203,6 @@ impl ChaosPlan {
             faults,
             drift_t_s: config.drift_t_s,
             drift_seed,
-            bit_flips,
             train_kills,
             checkpoint_flips,
         }
@@ -246,13 +236,6 @@ impl ChaosPlan {
         (self.drift_t_s > 0.0).then_some((self.drift_t_s, self.drift_seed))
     }
 
-    /// Flips the planned bits of an artifact byte stream in place
-    /// (positions wrap modulo the stream length). Returns how many bits
-    /// flipped; zero for an empty stream or a flip-free plan.
-    pub fn corrupt_artifact(&self, bytes: &mut [u8]) -> usize {
-        Self::flip_bits(&self.bit_flips, bytes)
-    }
-
     /// Whether the training job must be killed when it first reaches
     /// mini-epoch `epoch`.
     ///
@@ -268,10 +251,9 @@ impl ChaosPlan {
         self.train_kills.iter().copied().collect()
     }
 
-    /// Flips the planned checkpoint bits of a byte stream in place, with
-    /// the same wrapping semantics as [`Self::corrupt_artifact`]. The
-    /// draws are independent of the artifact flips, so a plan can corrupt
-    /// a checkpoint without also corrupting the served model.
+    /// Flips the planned checkpoint bits of a byte stream in place
+    /// (positions wrap modulo the stream length). Returns how many bits
+    /// flipped; zero for an empty stream or a flip-free plan.
     pub fn corrupt_checkpoint(&self, bytes: &mut [u8]) -> usize {
         Self::flip_bits(&self.checkpoint_flips, bytes)
     }
@@ -300,7 +282,6 @@ mod tests {
             .with_slow_batches(3, Duration::from_millis(2))
             .with_stuck_cells(4, 0.0)
             .with_drift(1e6)
-            .with_bit_flips(2)
     }
 
     #[test]
@@ -341,16 +322,36 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_artifact_flips_and_wraps() {
-        let plan = ChaosPlan::generate(&config());
+    fn overfull_horizon_caps_slow_batches() {
+        // Slowdowns only land on batches without a panic: a horizon the
+        // panics fill leaves no room, and one free batch takes one.
+        let delay = Duration::from_millis(2);
+        let full = ChaosConfig::new(7, 4, 4)
+            .with_horizon(4)
+            .with_worker_panics(4)
+            .with_slow_batches(1, delay);
+        let plan = ChaosPlan::generate(&full);
+        assert_eq!(plan.panic_batches().len(), 4);
+        assert!((0..4).all(|s| plan.slow_down(s).is_none()));
+        let one_free = ChaosConfig::new(7, 4, 4)
+            .with_horizon(4)
+            .with_worker_panics(3)
+            .with_slow_batches(5, delay);
+        let plan = ChaosPlan::generate(&one_free);
+        assert_eq!((0..4).filter(|&s| plan.slow_down(s).is_some()).count(), 1);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_flips_and_wraps() {
+        let plan = ChaosPlan::generate(&config().with_checkpoint_bit_flips(2));
         let mut bytes = vec![0u8; 32];
-        assert_eq!(plan.corrupt_artifact(&mut bytes), 2);
+        assert_eq!(plan.corrupt_checkpoint(&mut bytes), 2);
         let set: u32 = bytes.iter().map(|b| b.count_ones()).sum();
         assert!(
             (1..=2).contains(&set),
             "expected 1-2 flipped bits, got {set}"
         );
-        assert_eq!(plan.corrupt_artifact(&mut []), 0);
+        assert_eq!(plan.corrupt_checkpoint(&mut []), 0);
     }
 
     #[test]
@@ -367,27 +368,8 @@ mod tests {
         assert_eq!(base.panic_batches(), extended.panic_batches());
         assert_eq!(base.cell_faults(), extended.cell_faults());
         assert_eq!(base.drift(), extended.drift());
-        let mut a = vec![0u8; 32];
-        let mut b = vec![0u8; 32];
-        base.corrupt_artifact(&mut a);
-        extended.corrupt_artifact(&mut b);
-        assert_eq!(a, b);
         assert_eq!(extended.train_kill_epochs().len(), 3);
         assert!(extended.train_kill_epochs().iter().all(|&e| e < 16));
-    }
-
-    #[test]
-    fn checkpoint_flips_are_independent_of_artifact_flips() {
-        let plan = ChaosPlan::generate(&config().with_checkpoint_bit_flips(2));
-        let mut artifact = vec![0u8; 32];
-        let mut checkpoint = vec![0u8; 32];
-        assert_eq!(plan.corrupt_artifact(&mut artifact), 2);
-        assert_eq!(plan.corrupt_checkpoint(&mut checkpoint), 2);
-        // Same count, different draws: the corrupted streams differ (the
-        // probability of an accidental collision across 256 bit positions
-        // is negligible and the seed is fixed).
-        assert_ne!(artifact, checkpoint);
-        assert_eq!(plan.corrupt_checkpoint(&mut []), 0);
     }
 
     #[test]
@@ -410,7 +392,7 @@ mod tests {
         assert!(plan.drift().is_none());
         assert!((0..64).all(|s| !plan.should_panic(s) && plan.slow_down(s).is_none()));
         let mut bytes = vec![0xFFu8; 8];
-        plan.corrupt_artifact(&mut bytes);
+        assert_eq!(plan.corrupt_checkpoint(&mut bytes), 0);
         assert!(bytes.iter().all(|&b| b == 0xFF));
     }
 }

@@ -32,13 +32,6 @@ pub struct CostLedger {
     pub cells_used: u64,
 }
 
-impl CostLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl std::fmt::Display for CostLedger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

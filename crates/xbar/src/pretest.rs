@@ -93,22 +93,6 @@ pub struct PretestReport {
     pub multiplier_hat: Matrix,
 }
 
-impl PretestReport {
-    /// Cells whose estimated |θ̂| exceeds `threshold` — AMP's defect /
-    /// outlier candidates.
-    pub fn outliers(&self, threshold: f64) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..self.theta_hat.rows() {
-            for j in 0..self.theta_hat.cols() {
-                if self.theta_hat[(i, j)].abs() > threshold {
-                    out.push((i, j));
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Runs the pre-test procedure on a crossbar, leaving every device back at
 /// HRS afterwards.
 ///
@@ -287,12 +271,15 @@ mod tests {
             .with_defect(Some(DefectKind::StuckLrs));
         let cfg = PretestConfig::with_adc(fine_adc()).unwrap();
         let report = pretest(&mut xbar, &cfg, &mut r).unwrap();
-        let outliers = report.outliers(1.5);
-        assert!(outliers.contains(&(3, 4)), "stuck-HRS must be an outlier");
-        assert!(outliers.contains(&(7, 1)), "stuck-LRS must be an outlier");
         // Stuck-HRS reads low (θ̂ < 0), stuck-LRS reads high (θ̂ > 0).
-        assert!(report.theta_hat[(3, 4)] < -1.5);
-        assert!(report.theta_hat[(7, 1)] > 1.5);
+        assert!(
+            report.theta_hat[(3, 4)] < -1.5,
+            "stuck-HRS must be an outlier"
+        );
+        assert!(
+            report.theta_hat[(7, 1)] > 1.5,
+            "stuck-LRS must be an outlier"
+        );
     }
 
     #[test]
